@@ -201,34 +201,47 @@ def _uniform_word(rng: random.Random, symbols: list[str], cfg: GenConfig) -> Wor
     return tuple(rng.choice(symbols) for _ in range(length))
 
 
-def _accepting_walk(rng: random.Random, gt: GroundTruth, length: int) -> Optional[Word]:
+def _walk_moves(vdpa: Vdpa) -> tuple[dict, dict, dict]:
+    """The moves an accepting walk draws from: (symbol, target) lists per
+    state for internal and call symbols, and per (state, stack top) for
+    return symbols, each in symbol order so the walk is reproducible across
+    processes. Built once per dataset, so the walk itself never sorts."""
+    internal: dict = {}
+    call: dict = {}
+    ret: dict = {}
+    for (src, sym), dst in sorted(vdpa.internal_trans.items(), key=lambda kv: kv[0][1]):
+        internal.setdefault(src, []).append((sym, dst))
+    for (src, sym), dst in sorted(vdpa.call_trans.items(), key=lambda kv: kv[0][1]):
+        call.setdefault(src, []).append((sym, dst))
+    for (src, sym, top), dst in sorted(vdpa.return_trans.items(), key=lambda kv: kv[0][1]):
+        ret.setdefault((src, top), []).append((sym, dst))
+    return internal, call, ret
+
+
+def _accepting_walk(rng: random.Random, vdpa: Vdpa, moves: tuple[dict, dict, dict],
+                    length: int) -> Optional[Word]:
     """One random walk of exactly `length` steps that must end accepting with
     an empty stack; pushes are pruned so the stack can always drain in time."""
-    vdpa, alpha = gt.vdpa, gt.alphabet
+    internal, call, ret = moves
+    calls, rets = vdpa.alphabet.call, vdpa.alphabet.ret
     state = vdpa.initial
     stack: list[str] = []
     word: list[str] = []
     for step in range(length):
         remaining_after = length - step - 1
-        # sorted iteration keeps the walk reproducible across processes
         options: list[tuple[str, object]] = []
-        for sym in sorted(alpha.internal):
-            if (state, sym) in vdpa.internal_trans and len(stack) <= remaining_after:
-                options.append((sym, vdpa.internal_trans[(state, sym)]))
-        for sym in sorted(alpha.call):
-            if (state, sym) in vdpa.call_trans and len(stack) + 1 <= remaining_after:
-                options.append((sym, vdpa.call_trans[(state, sym)]))
+        if len(stack) <= remaining_after:
+            options += internal.get(state, ())
+            if len(stack) < remaining_after:
+                options += call.get(state, ())
         if stack:
-            for sym in sorted(alpha.ret):
-                key = (state, sym, stack[-1])
-                if key in vdpa.return_trans:
-                    options.append((sym, vdpa.return_trans[key]))
+            options += ret.get((state, stack[-1]), ())
         if not options:
             return None
         sym, nxt = options[rng.randrange(len(options))]
-        if sym in alpha.call:
+        if sym in calls:
             stack.append(sym)
-        elif sym in alpha.ret:
+        elif sym in rets:
             stack.pop()
         word.append(sym)
         state = nxt
@@ -255,6 +268,7 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
     n_pos = cfg.total // 2 + cfg.total % 2
     n_neg = cfg.total - n_pos
     budget = 100 * cfg.total
+    moves = _walk_moves(gt.vdpa)
     positives: set[Word] = set()
     while len(positives) < n_pos:
         if budget <= 0:
@@ -262,7 +276,7 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
                 f"could not sample {n_pos} distinct accepted words of length "
                 f"[{cfg.len_min}, {cfg.len_max}] from {gt.name!r}")
         budget -= 1
-        word = _accepting_walk(rng, gt, rng.randint(cfg.len_min, cfg.len_max))
+        word = _accepting_walk(rng, gt.vdpa, moves, rng.randint(cfg.len_min, cfg.len_max))
         if word is not None:
             positives.add(word)
     negatives: set[Word] = set()

@@ -38,7 +38,6 @@ class NoWellMatchedSamplesError(ValueError):
 @dataclass(frozen=True)
 class PapniConfig:
     backend: Backend = "rpni"
-    report_dropped: bool = True
 
     def __post_init__(self) -> None:
         if self.backend not in _BACKENDS:

@@ -11,6 +11,14 @@ both an accepting and a rejecting node.
 Two candidate policies are provided: classic RPNI (first compatible merge
 in shortlex order) and EDSM (highest evidence score, counting same-label
 node pairs co-located by the fold).
+
+EDSM re-scores every (red, blue) pair each round, so it remembers the
+pairs that conflicted, by PTA node ids, and never tries them again. This is
+sound because the partition only coarsens: the blocks holding those nodes
+later are supersets of the ones that conflicted, and the fold of a coarser
+partition identifies at least the same nodes, so it meets the same
+conflict. A round also ends at the first blue with no compatible red, the
+one it promotes, without scoring the blues after it.
 """
 
 from __future__ import annotations
@@ -110,56 +118,69 @@ class MergeState:
         on success, leaving the merge applied; rolls everything back and
         returns None on a label conflict.
         """
-        self._log.clear()
+        # the hot loop of both learners: attributes bound to locals, find inlined
+        parent, size, min_id, label = self.parent, self.size, self.min_id, self.label
+        children, acc_n, rej_n = self.children, self.acc_n, self.rej_n
+        log = self._log
+        log.clear()
+        record = log.append
         score = 0
         queue: deque[tuple[int, int]] = deque([(a, b)])
+        pop, push = queue.popleft, queue.append
         while queue:
-            x, y = queue.popleft()
-            rx, ry = self.find(x), self.find(y)
+            rx, ry = pop()
+            while parent[rx] != rx:
+                rx = parent[rx]
+            while parent[ry] != ry:
+                ry = parent[ry]
             if rx == ry:
                 continue
-            lx, ly = self.label[rx], self.label[ry]
+            lx, ly = label[rx], label[ry]
             if lx is not None and ly is not None and lx != ly:
                 self.rollback()
                 return None
-            score += self.acc_n[rx] * self.acc_n[ry] + self.rej_n[rx] * self.rej_n[ry]
-            if self.size[rx] < self.size[ry]:
+            score += acc_n[rx] * acc_n[ry] + rej_n[rx] * rej_n[ry]
+            if size[rx] < size[ry]:
                 rx, ry = ry, rx
+                lx, ly = ly, lx
             # ry is absorbed into rx
-            self._log.append((ry, rx, self.size[rx], self.min_id[rx], self.label[rx]))
-            self.parent[ry] = rx
-            self.size[rx] += self.size[ry]
-            self.min_id[rx] = min(self.min_id[rx], self.min_id[ry])
-            if self.label[rx] is None:
-                self.label[rx] = self.label[ry]
-            self.acc_n[rx] += self.acc_n[ry]
-            self.rej_n[rx] += self.rej_n[ry]
-            kids_x = self.children[rx]
-            for sym, dst in self.children[ry].items():
+            record((ry, rx, size[rx], min_id[rx], lx))
+            parent[ry] = rx
+            size[rx] += size[ry]
+            if min_id[ry] < min_id[rx]:
+                min_id[rx] = min_id[ry]
+            if lx is None:
+                label[rx] = ly
+            acc_n[rx] += acc_n[ry]
+            rej_n[rx] += rej_n[ry]
+            kids_x = children[rx]
+            for sym, dst in children[ry].items():
                 old = kids_x.get(sym)
                 if old is None:
                     kids_x[sym] = dst
-                    self._log.append((rx, sym))
+                    record((rx, sym))
                 else:
-                    queue.append((old, dst))
+                    push((old, dst))
         return score
 
     def commit(self) -> None:
         self._log.clear()
 
     def rollback(self) -> None:
+        parent, size, min_id, label = self.parent, self.size, self.min_id, self.label
+        children, acc_n, rej_n = self.children, self.acc_n, self.rej_n
         for entry in reversed(self._log):
             if len(entry) == 2:
                 rep, sym = entry
-                del self.children[rep][sym]
+                del children[rep][sym]
             else:
                 gone, kept, old_size, old_min, old_label = entry
-                self.parent[gone] = gone
-                self.size[kept] = old_size
-                self.min_id[kept] = old_min
-                self.label[kept] = old_label
-                self.acc_n[kept] -= self.acc_n[gone]
-                self.rej_n[kept] -= self.rej_n[gone]
+                parent[gone] = gone
+                size[kept] = old_size
+                min_id[kept] = old_min
+                label[kept] = old_label
+                acc_n[kept] -= acc_n[gone]
+                rej_n[kept] -= rej_n[gone]
         self._log.clear()
 
 
@@ -212,10 +233,18 @@ def _emit_dfa(merger: MergeState, alphabet: frozenset[str]) -> Dfa:
 def _learn(dataset: LabeledDataset, use_evidence: bool) -> Dfa:
     pta = build_pta(dataset)
     merger = MergeState(pta)
+    min_id = merger.min_id
     red: list[int] = [merger.find(0)]
+    # EDSM only: blue min_id -> red min_ids whose merge with it conflicted.
+    # The partition only coarsens, so a merge that conflicted once conflicts
+    # in every later round (see the module docstring). An entry goes when its
+    # blue is merged or promoted; one whose block took a smaller min_id from
+    # a fold just stops matching, which costs a repeated trial, never a model.
+    rejected: dict[int, set[int]] = {}
     while True:
-        # folds may merge red blocks, so re-canonicalize every round
-        red = sorted({merger.find(r) for r in red}, key=lambda rep: merger.min_id[rep])
+        # a fold can move a red block's representative and min_id to a node
+        # it absorbed, so re-resolve and re-sort the reds every round
+        red = sorted({merger.find(r) for r in red}, key=lambda rep: min_id[rep])
         blues = _blue_frontier(merger, red)
         if not blues:
             break
@@ -228,27 +257,37 @@ def _learn(dataset: LabeledDataset, use_evidence: bool) -> Dfa:
             else:
                 red.append(blue)
         else:
-            # key: highest score, ties by shortlex red then shortlex blue
+            # key: highest score, ties by shortlex red then shortlex blue;
+            # the first blue with no compatible red ends the round promoted
             best: Optional[tuple[int, int, int]] = None
             orphan: Optional[int] = None
             for blue in blues:
+                blue_id = min_id[blue]
+                known = rejected.get(blue_id, ())
                 compatible = False
                 for r in red:
+                    red_id = min_id[r]
+                    if red_id in known:
+                        continue
                     score = merger.trial_merge(r, blue)
                     if score is None:
+                        rejected.setdefault(blue_id, set()).add(red_id)
                         continue
                     merger.rollback()
                     compatible = True
-                    key = (-score, merger.min_id[r], merger.min_id[blue])
+                    key = (-score, red_id, blue_id)
                     if best is None or key < best:
                         best = key
-                if not compatible and orphan is None:
+                if not compatible:
                     orphan = blue
+                    break
             if orphan is not None:
+                rejected.pop(min_id[orphan], None)
                 red.append(orphan)
             else:
                 assert best is not None
                 _, red_id, blue_id = best
+                rejected.pop(blue_id, None)
                 if merger.trial_merge(red_id, blue_id) is None:
                     raise AssertionError("previously compatible merge failed on replay")
                 merger.commit()

@@ -1,17 +1,25 @@
+import hashlib
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpalearn import (
     DatasetError,
+    GenConfig,
     LabeledDataset,
     build_pta,
+    builtin,
     dfa_accepts,
     edsm_learn,
+    generate_dataset,
     preprocess_dataset,
     rpni_learn,
 )
-from vpalearn.rpni import MergeState, _blue_frontier
+from vpalearn.formats import dump_automaton
+from vpalearn.rpni import MergeState, _blue_frontier, _emit_dfa
 
 from conftest import as_dataset, distinct_prefixes
 
@@ -162,3 +170,88 @@ class TestEdsm:
         ds = as_dataset([("", True), ("a", False), ("aa", True), ("aaa", False)])
         a, b = rpni_learn(ds), edsm_learn(ds)
         assert a.size == b.size == 2
+
+
+# sha256 of dump_automaton for the raw learners on balanced 200-sample sets:
+# a speed-up of the merge engine (the EDSM rejected-pair cache, the fold
+# kernel) must not change one byte of a learned model
+LEARNED_SHA256 = {
+    ("arithmetic_expr", 73, "rpni"): "5896e4dd3797e720ad7b0c527a00f60078dea03cb5e970cb086229d39c147eab",
+    ("arithmetic_expr", 73, "edsm"): "da21d5e2bb1218fc995a1669b9724fe870a64df381e8d0aa4deb0f654f62a660",
+    ("arithmetic_expr", 74, "rpni"): "b69eaf5b2b910bb65df0692cd4b12b0327dfd56aef60c536c9270c255f3befcf",
+    ("arithmetic_expr", 74, "edsm"): "fde0ed768c854c3ccb9daa0ed3257de559e5ee23c68049b4ddf663b2183f6baa",
+    ("arithmetic_expr", 75, "rpni"): "4720bf5723a4b4f45e27d70f287861ad8e5c710258c3bc50379b5f9148a55a8f",
+    ("arithmetic_expr", 75, "edsm"): "7a28fa3f5cd3e43f8b33b7385654f3a84455dd4051a34a530cfb5bf07ca8e59a",
+    ("arithmetic_expr", 76, "rpni"): "87f88444b6cc53e103752fb33f257437faaec6793511afddc4b5f7fbe2c32f52",
+    ("arithmetic_expr", 76, "edsm"): "9bb6de0678dc6616bf6ee76a1ce1005320598f671b429848d598f45c72e65f7b",
+    ("dyck2", 73, "rpni"): "3c9a1d26779b021be7c1be0f5c82286d7a3722c208124e5eb6ef6786ab17f2ff",
+    ("dyck2", 73, "edsm"): "50c46729305c79817cb48a194f14e5ea2aeb94b87e579d09a848f5da6e273a8f",
+    ("dyck2", 74, "rpni"): "cb9d72d5b82b7274ddb87b853e0e3a766383445b74d6d0f866e12cf965eaba08",
+    ("dyck2", 74, "edsm"): "40a241e94aa9dcb97e06ec3cf0babfc59c307a4822a2cf5836224d358da2b8f4",
+    ("dyck2", 75, "rpni"): "f94c455a828ef77390c493b71d2c20891a0966e7991571aa3f18f47ced1be055",
+    ("dyck2", 75, "edsm"): "cf3e3d5e853d248ddd8535c070f9bc7f5c5f7027ddbd08737fa5d06a21c4cdbf",
+    ("dyck2", 76, "rpni"): "91e0cee6be1552c69ea7d1714fb480657459ef7644d3c650526eccea89d91dea",
+    ("dyck2", 76, "edsm"): "4a75befd1c859dd620bdda4b8b7e7f912c47608ccac833f115c5cd52726760b8",
+}
+
+
+@lru_cache(maxsize=None)
+def _balanced_set(grammar, seed):
+    return generate_dataset(builtin(grammar), GenConfig(total=200, seed=seed, mode="balanced"))
+
+
+@pytest.mark.parametrize("grammar,seed,backend", sorted(LEARNED_SHA256))
+def test_learned_models_are_byte_identical(grammar, seed, backend):
+    learn = {"rpni": rpni_learn, "edsm": edsm_learn}[backend]
+    text = dump_automaton(learn(_balanced_set(grammar, seed)))
+    assert hashlib.sha256(text.encode()).hexdigest() == LEARNED_SHA256[(grammar, seed, backend)]
+
+
+_small_datasets = st.dictionaries(
+    st.text(alphabet="abc", max_size=6), st.booleans(), min_size=1, max_size=24,
+).map(lambda pairs: as_dataset(sorted(pairs.items())))
+
+
+@given(_small_datasets)
+@settings(max_examples=150, deadline=None)
+def test_rejected_merges_stay_rejected(dataset):
+    """Runs EDSM by hand through MergeState with no rejected-pair cache. After
+    every commit, each merge rejected so far, re-tried by PTA node ids, must
+    still conflict, and no two red blocks may share a block; the run must end
+    at the model edsm_learn learns with the cache."""
+    merger = MergeState(build_pta(dataset))
+    min_id = merger.min_id
+    red_ids = [0]  # PTA node ids, one per red block
+    rejected: list[tuple[int, int]] = []
+    while True:
+        red = sorted((merger.find(r) for r in red_ids), key=lambda rep: min_id[rep])
+        blues = _blue_frontier(merger, red)
+        if not blues:
+            break
+        best = orphan = None
+        for blue in blues:
+            compatible = False
+            for r in red:
+                score = merger.trial_merge(r, blue)
+                if score is None:
+                    rejected.append((min_id[r], min_id[blue]))
+                    continue
+                merger.rollback()
+                compatible = True
+                key = (-score, min_id[r], min_id[blue])
+                if best is None or key < best:
+                    best = key
+            if not compatible and orphan is None:
+                orphan = blue
+        if orphan is not None:
+            red_ids.append(min_id[orphan])
+            continue
+        _, red_id, blue_id = best
+        assert merger.trial_merge(red_id, blue_id) is not None
+        merger.commit()
+        assert len({merger.find(r) for r in red_ids}) == len(red_ids)
+        for red_id, blue_id in rejected:
+            score = merger.trial_merge(red_id, blue_id)
+            merger.rollback()
+            assert score is None
+    assert _emit_dfa(merger, dataset.symbols()) == edsm_learn(dataset)
