@@ -52,27 +52,25 @@ def _manifest(entries: list[tuple[str, object]], out_path: Optional[Path]) -> No
         out_path.write_text(text)
 
 
-def _load_dataset(path: str):
+def _load(loader, path: str, what: str):
+    """Read a file with a ``formats`` loader; every failure becomes an exit code."""
     try:
-        dataset = formats.load_dataset(path)
-    except FileNotFoundError:
-        raise _CliError(EXIT_INPUT, f"cannot read dataset {path!r}")
+        return loader(path)
+    except OSError as exc:
+        raise _CliError(EXIT_INPUT, f"cannot read {what} {path!r}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise _CliError(EXIT_INPUT, f"{what} {path!r} is not UTF-8 text")
     except DatasetError as exc:
         raise _CliError(EXIT_CONFLICT, str(exc))
     except formats.FormatError as exc:
         raise _CliError(EXIT_INPUT, str(exc))
+
+
+def _load_dataset(path: str):
+    dataset = _load(formats.load_dataset, path, "dataset")
     if not dataset.samples:
         raise _CliError(EXIT_INPUT, f"dataset {path!r} is empty")
     return dataset
-
-
-def _load_alphabet(path: str):
-    try:
-        return formats.load_alphabet(path)
-    except FileNotFoundError:
-        raise _CliError(EXIT_INPUT, f"cannot read alphabet {path!r}")
-    except formats.FormatError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
 
 
 def _ground_truth(args) -> GroundTruth:
@@ -81,12 +79,7 @@ def _ground_truth(args) -> GroundTruth:
             return builtin(args.grammar)
         except KeyError as exc:
             raise _CliError(EXIT_INPUT, str(exc))
-    try:
-        model = formats.load_automaton(args.automaton)
-    except FileNotFoundError:
-        raise _CliError(EXIT_INPUT, f"cannot read automaton {args.automaton!r}")
-    except formats.FormatError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
+    model = _load(formats.load_automaton, args.automaton, "automaton")
     if not isinstance(model, Vdpa):
         raise _CliError(EXIT_INPUT, "ground-truth automaton must be a vdpa")
     return GroundTruth(Path(args.automaton).stem, model, model.alphabet)
@@ -94,7 +87,7 @@ def _ground_truth(args) -> GroundTruth:
 
 def cmd_learn(args) -> int:
     dataset = _load_dataset(args.dataset)
-    alphabet = _load_alphabet(args.alphabet)
+    alphabet = _load(formats.load_alphabet, args.alphabet, "alphabet")
     for sym in dataset.symbols():
         if sym not in alphabet.symbols:
             raise _CliError(EXIT_INPUT, f"dataset symbol {sym!r} not in alphabet")
@@ -130,6 +123,8 @@ def cmd_learn(args) -> int:
 
 def cmd_generate(args) -> int:
     gt = _ground_truth(args)
+    if args.len_min > args.len_max:
+        raise _CliError(EXIT_INPUT, "--len-min must not exceed --len-max")
     cfg = GenConfig(total=args.total, len_min=args.len_min, len_max=args.len_max,
                     seed=args.seed, mode=args.mode)
     try:
@@ -139,7 +134,10 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     outputs: list[Path] = []
     if args.split:
-        train, evl = benchgen.split_dataset(dataset, seed=args.seed)
+        try:
+            train, evl = benchgen.split_dataset(dataset, seed=args.seed)
+        except ValueError as exc:
+            raise _CliError(EXIT_GENERATION, f"cannot split: {exc}")
         for part, suffix in ((train, ".train"), (evl, ".eval")):
             path = out.with_suffix(out.suffix + suffix)
             formats.save_dataset(part, path)
@@ -159,12 +157,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        model = formats.load_automaton(args.model)
-    except FileNotFoundError:
-        raise _CliError(EXIT_INPUT, f"cannot read model {args.model!r}")
-    except formats.FormatError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
+    model = _load(formats.load_automaton, args.model, "model")
     dataset = _load_dataset(args.dataset)
     metrics = benchgen.evaluate(model, dataset)
     entries = [
@@ -182,15 +175,8 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     from .preprocess import is_well_matched
 
-    try:
-        dataset = formats.load_dataset(args.dataset)
-    except FileNotFoundError:
-        raise _CliError(EXIT_INPUT, f"cannot read dataset {args.dataset!r}")
-    except DatasetError as exc:
-        raise _CliError(EXIT_CONFLICT, str(exc))
-    except formats.FormatError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
-    alphabet = _load_alphabet(args.alphabet)
+    dataset = _load(formats.load_dataset, args.dataset, "dataset")
+    alphabet = _load(formats.load_alphabet, args.alphabet, "alphabet")
     matched = unmatched = 0
     for sample in dataset:
         try:
@@ -280,12 +266,7 @@ def hash_free_index(name: str) -> int:
 def cmd_convert(args) -> int:
     if args.to != "dot":
         raise _CliError(EXIT_INPUT, f"unknown target format {args.to!r}")
-    try:
-        model = formats.load_automaton(args.model)
-    except FileNotFoundError:
-        raise _CliError(EXIT_INPUT, f"cannot read model {args.model!r}")
-    except formats.FormatError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
+    model = _load(formats.load_automaton, args.model, "model")
     dot = render_dot(model)
     if args.out:
         Path(args.out).write_text(dot)
@@ -294,6 +275,17 @@ def cmd_convert(args) -> int:
     _manifest([("command", "convert"), ("model", args.model), ("to", args.to),
                ("out", args.out or "-")], None)
     return EXIT_OK
+
+
+def _at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--grammar", metavar="NAME")
     src.add_argument("--automaton", metavar="PATH")
-    p.add_argument("--total", type=int, default=10000)
-    p.add_argument("--len-min", type=int, default=4)
-    p.add_argument("--len-max", type=int, default=50)
+    p.add_argument("--total", type=_at_least(2), default=10000)
+    p.add_argument("--len-min", type=_at_least(1), default=4)
+    p.add_argument("--len-max", type=_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--mode", choices=["uniform", "balanced"], default="uniform")
     p.add_argument("--split", action="store_true")
@@ -335,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("benchmark", help="compare plain RPNI against the pushdown pipeline")
     p.add_argument("--grammars", nargs="+", required=True)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--total", type=int, default=10000)
+    p.add_argument("--total", type=_at_least(2), default=10000)
     p.add_argument("--mode", choices=["uniform", "balanced"], default="uniform")
     p.add_argument("--backend", choices=["rpni", "edsm"], default="rpni")
     p.add_argument("--out")

@@ -53,7 +53,8 @@ def build_pta(dataset: LabeledDataset) -> Pta:
     unknown. Conflicting labels for one word raise a DatasetError."""
     children: list[dict[str, int]] = [{}]
     label: list[Optional[bool]] = [None]
-    for sample in dataset:
+    # sorted insertion hands every node its children in symbol order
+    for sample in sorted(dataset, key=lambda s: s.word):
         node = 0
         for sym in sample.word:
             nxt = children[node].get(sym)
@@ -66,18 +67,19 @@ def build_pta(dataset: LabeledDataset) -> Pta:
         if label[node] is not None and label[node] != sample.label:
             raise DatasetError(f"conflicting labels for word {' '.join(sample.word)!r}")
         label[node] = sample.label
-    # renumber breadth-first with sorted symbols: ids become shortlex order
-    order: list[int] = []
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        order.append(node)
-        for sym in sorted(children[node]):
-            queue.append(children[node][sym])
-    remap = {old: new for new, old in enumerate(order)}
-    new_children = [{sym: remap[dst] for sym, dst in children[old].items()} for old in order]
-    new_label = [label[old] for old in order]
-    return Pta(new_children, new_label, dataset.symbols())
+    # renumber breadth-first: ids become shortlex order; the dicts are
+    # rewritten in place, not copied
+    order = [0]
+    for node in order:
+        order.extend(children[node].values())
+    remap = [0] * len(order)
+    for new, old in enumerate(order):
+        remap[old] = new
+    for kids in children:
+        for sym, dst in kids.items():
+            kids[sym] = remap[dst]
+    return Pta([children[old] for old in order], [label[old] for old in order],
+               dataset.symbols())
 
 
 class MergeState:
@@ -87,19 +89,26 @@ class MergeState:
     the representative. Representatives are chosen by union-by-size, so find
     stays cheap without path compression; the shortlex-minimal node id of a
     block is tracked separately for ordering and tie-breaking.
+
+    The merger consumes the PTA: it takes over ``pta.children`` and rewrites
+    those dicts as blocks merge, so the PTA's transitions are not valid
+    afterwards.
     """
 
     def __init__(self, pta: Pta) -> None:
         n = pta.size
         self.parent = list(range(n))
         self.size = [1] * n
-        self.min_id = list(range(n))
+        self.min_id = self.parent[:]
         self.label: list[Optional[bool]] = list(pta.label)
-        self.children: list[dict[str, int]] = [dict(c) for c in pta.children]
+        self.children: list[dict[str, int]] = pta.children
         self.acc_n = [1 if l is _ACC else 0 for l in pta.label]
         self.rej_n = [1 if l is _REJ else 0 for l in pta.label]
-        # undo log for the trial in progress
-        self._log: list[tuple] = []
+        # undo log for the trial in progress: an int n >= 0 is an absorbed
+        # representative, ~m restores min_id m of the block it was folded
+        # into (logged just before that absorption), (rep, sym) is an added
+        # transition
+        self._log: list[int | tuple[int, str]] = []
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -144,11 +153,12 @@ class MergeState:
                 rx, ry = ry, rx
                 lx, ly = ly, lx
             # ry is absorbed into rx
-            record((ry, rx, size[rx], min_id[rx], lx))
+            if min_id[ry] < min_id[rx]:
+                record(~min_id[rx])
+                min_id[rx] = min_id[ry]
+            record(ry)
             parent[ry] = rx
             size[rx] += size[ry]
-            if min_id[ry] < min_id[rx]:
-                min_id[rx] = min_id[ry]
             if lx is None:
                 label[rx] = ly
             acc_n[rx] += acc_n[ry]
@@ -167,20 +177,25 @@ class MergeState:
         self._log.clear()
 
     def rollback(self) -> None:
+        # a block is labelled exactly when one of its counts is non-zero, so
+        # the counts restore the label; entries are undone newest first
         parent, size, min_id, label = self.parent, self.size, self.min_id, self.label
         children, acc_n, rej_n = self.children, self.acc_n, self.rej_n
+        kept = 0
         for entry in reversed(self._log):
-            if len(entry) == 2:
+            if entry.__class__ is tuple:
                 rep, sym = entry
                 del children[rep][sym]
+            elif entry >= 0:
+                kept = parent[entry]
+                parent[entry] = entry
+                size[kept] -= size[entry]
+                acc = acc_n[kept] = acc_n[kept] - acc_n[entry]
+                rej = rej_n[kept] = rej_n[kept] - rej_n[entry]
+                if not acc and not rej:
+                    label[kept] = None
             else:
-                gone, kept, old_size, old_min, old_label = entry
-                parent[gone] = gone
-                size[kept] = old_size
-                min_id[kept] = old_min
-                label[kept] = old_label
-                acc_n[kept] -= acc_n[gone]
-                rej_n[kept] -= rej_n[gone]
+                min_id[kept] = ~entry
         self._log.clear()
 
 

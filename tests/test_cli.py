@@ -94,6 +94,30 @@ class TestLearn:
         code = main(["learn", str(data), str(alpha), "--out", str(tmp_path / "m.aut")])
         assert code == EXIT_INPUT
 
+    def test_directory_as_dataset(self, tmp_path, capsys):
+        _, alpha = write_worked_files(tmp_path)
+        code = main(["learn", str(tmp_path), str(alpha), "--out", str(tmp_path / "m.aut")])
+        assert code == EXIT_INPUT
+        assert "cannot read dataset" in capsys.readouterr().err
+
+    def test_directory_as_alphabet(self, tmp_path):
+        data, _ = write_worked_files(tmp_path)
+        code = main(["learn", str(data), str(tmp_path), "--out", str(tmp_path / "m.aut")])
+        assert code == EXIT_INPUT
+
+    def test_non_utf8_dataset(self, tmp_path, capsys):
+        data, alpha = write_worked_files(tmp_path)
+        data.write_bytes(b"+ ( \xff )\n")
+        code = main(["learn", str(data), str(alpha), "--out", str(tmp_path / "m.aut")])
+        assert code == EXIT_INPUT
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_alphabet(self, tmp_path):
+        data, alpha = write_worked_files(tmp_path)
+        alpha.write_bytes(b"internal:\ncall: \xfe\nreturn: )\n")
+        code = main(["learn", str(data), str(alpha), "--out", str(tmp_path / "m.aut")])
+        assert code == EXIT_INPUT
+
 
 class TestGenerate:
     def test_writes_dataset_and_manifest(self, tmp_path, capsys):
@@ -134,6 +158,34 @@ class TestGenerate:
                      "--out", str(tmp_path / "d.txt")])
         assert code == EXIT_GENERATION
 
+    def test_split_failure_exit_code(self, tmp_path, capsys):
+        # uniform dyck1 with a tiny sample has no accepted words at all, so
+        # the train/eval split cannot cover both labels
+        code = main(["generate", "--grammar", "dyck1", "--total", "6", "--seed", "4",
+                     "--split", "--out", str(tmp_path / "d.txt")])
+        assert code == EXIT_GENERATION
+        assert "cannot split" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--total", "1"), ("--total", "-3"), ("--len-min", "0"), ("--len-max", "0"),
+        ("--total", "x"),
+    ])
+    def test_out_of_range_flags_exit_2(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--grammar", "dyck1", flag, value,
+                  "--out", str(tmp_path / "d.txt")])
+        assert exc.value.code == EXIT_INPUT
+        assert flag in capsys.readouterr().err
+
+    def test_len_min_above_len_max(self, tmp_path):
+        code = main(["generate", "--grammar", "dyck1", "--len-min", "9", "--len-max", "3",
+                     "--out", str(tmp_path / "d.txt")])
+        assert code == EXIT_INPUT
+
+    def test_directory_as_automaton(self, tmp_path):
+        code = main(["generate", "--automaton", str(tmp_path), "--out", str(tmp_path / "d.txt")])
+        assert code == EXIT_INPUT
+
     def test_custom_automaton_ground_truth(self, tmp_path):
         gt = builtin("balanced_parens")
         model_path = tmp_path / "gt.aut"
@@ -167,6 +219,18 @@ class TestEval:
         data.write_text("+ ( )\n")
         assert main(["eval", str(tmp_path / "no.aut"), str(data)]) == EXIT_INPUT
 
+    def test_non_utf8_model(self, tmp_path):
+        data = tmp_path / "d.txt"
+        data.write_text("+ ( )\n")
+        model = tmp_path / "m.aut"
+        model.write_bytes(b"dfa\ninitial: \xff\n")
+        assert main(["eval", str(model), str(data)]) == EXIT_INPUT
+
+    def test_directory_as_dataset(self, tmp_path):
+        model_path = tmp_path / "gt.aut"
+        formats.save_automaton(builtin("dyck1").vdpa, model_path)
+        assert main(["eval", str(model_path), str(tmp_path)]) == EXIT_INPUT
+
 
 class TestCheck:
     def test_per_line_verdicts(self, tmp_path, capsys):
@@ -178,6 +242,13 @@ class TestCheck:
         assert out.count("-> not-well-matched") == 5
         assert "well_matched: 6" in out
         assert "not_well_matched: 5" in out
+
+    def test_non_utf8_dataset(self, tmp_path):
+        data = tmp_path / "d.txt"
+        data.write_bytes(b"- \xc3\n")
+        alpha = tmp_path / "alphabet.txt"
+        alpha.write_text(PAREN_ALPHABET)
+        assert main(["check", str(data), str(alpha)]) == EXIT_INPUT
 
     def test_empty_dataset_is_fine(self, tmp_path, capsys):
         data = tmp_path / "d.txt"
@@ -217,6 +288,16 @@ class TestBenchmark:
         assert code == EXIT_GENERATION
 
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--repeats", "0"), ("--repeats", "-1"), ("--total", "1"),
+    ])
+    def test_out_of_range_flags_exit_2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--grammars", "dyck1", flag, value])
+        assert exc.value.code == EXIT_INPUT
+        assert flag in capsys.readouterr().err
+
+
 class TestConvert:
     def test_to_stdout(self, tmp_path, capsys):
         gt = builtin("balanced_parens")
@@ -224,6 +305,9 @@ class TestConvert:
         formats.save_automaton(gt.vdpa, model_path)
         assert main(["convert", str(model_path)]) == EXIT_OK
         assert "digraph" in capsys.readouterr().out
+
+    def test_directory_as_model(self, tmp_path):
+        assert main(["convert", str(tmp_path)]) == EXIT_INPUT
 
     def test_unknown_target(self, tmp_path):
         gt = builtin("dyck1")

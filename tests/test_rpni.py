@@ -10,6 +10,7 @@ from vpalearn import (
     DatasetError,
     GenConfig,
     LabeledDataset,
+    LabeledSample,
     build_pta,
     builtin,
     dfa_accepts,
@@ -61,8 +62,6 @@ class TestBuildPta:
     def test_conflict_raises(self):
         ds = LabeledDataset.__new__(LabeledDataset)
         # bypass the dataset's own conflict check to exercise the PTA's
-        from vpalearn import LabeledSample
-
         ds.samples = [LabeledSample(("a",), True), LabeledSample(("a",), False)]
         with pytest.raises(DatasetError):
             build_pta(ds)
@@ -255,3 +254,50 @@ def test_rejected_merges_stay_rejected(dataset):
             merger.rollback()
             assert score is None
     assert _emit_dfa(merger, dataset.symbols()) == edsm_learn(dataset)
+
+
+# words over multi-character symbols too, so that shortlex compares symbol
+# strings, not characters
+_words = st.lists(st.sampled_from(["(", ")", "a", "ab", "b", "ret|call"]), max_size=6).map(tuple)
+_shuffled_samples = st.dictionaries(_words, st.booleans(), min_size=1, max_size=30).flatmap(
+    lambda pairs: st.permutations([LabeledSample(w, l) for w, l in pairs.items()]))
+
+
+@given(_shuffled_samples)
+@settings(max_examples=200, deadline=None)
+def test_pta_ids_are_shortlex_ranks(samples):
+    """In any sample order, node ids are the shortlex ranks of the distinct
+    prefixes, with the prefix tree's edges and the samples' labels."""
+    pta = build_pta(LabeledDataset(samples))
+    prefixes = sorted({s.word[:i] for s in samples for i in range(len(s.word) + 1)},
+                      key=lambda w: (len(w), w))
+    rank = {w: i for i, w in enumerate(prefixes)}
+    edges: list[dict[str, int]] = [{} for _ in prefixes]
+    for w in prefixes[1:]:
+        edges[rank[w[:-1]]][w[-1]] = rank[w]
+    labels = {s.word: s.label for s in samples}
+    assert pta.children == edges
+    assert pta.label == [labels.get(w) for w in prefixes]
+
+
+def _merger_state(merger):
+    return (list(merger.parent), list(merger.size), list(merger.min_id), list(merger.label),
+            [list(c.items()) for c in merger.children], list(merger.acc_n), list(merger.rej_n))
+
+
+@given(_small_datasets, st.data())
+@settings(max_examples=200, deadline=None)
+def test_rollback_restores_everything_after_commits(dataset, data):
+    """After some committed merges, a trial merge of any two nodes followed
+    by its rollback (or its own conflict rollback) leaves every field of the
+    partition exactly as it was, labels included."""
+    merger = MergeState(build_pta(dataset))
+    node = st.integers(0, len(merger.parent) - 1)
+    for _ in range(data.draw(st.integers(0, 4))):
+        if merger.trial_merge(data.draw(node), data.draw(node)) is not None:
+            merger.commit()
+    before = _merger_state(merger)
+    for _ in range(5):
+        if merger.trial_merge(data.draw(node), data.draw(node)) is not None:
+            merger.rollback()
+        assert _merger_state(merger) == before
