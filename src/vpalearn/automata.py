@@ -31,8 +31,10 @@ class AlphabetError(ValueError):
 
 
 def validate_symbol(token: str) -> str:
-    if not token or any(ch.isspace() for ch in token):
-        raise AlphabetError(f"invalid symbol {token!r}: must be non-empty, no whitespace")
+    """A symbol is a non-empty token without whitespace or ``#``, which the
+    text formats read as a separator and as a comment start."""
+    if not token or "#" in token or any(ch.isspace() for ch in token):
+        raise AlphabetError(f"invalid symbol {token!r}: must be non-empty, no whitespace, no '#'")
     return token
 
 

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Union
 
 from .automata import (
+    AlphabetError,
     Automaton,
     Dfa,
     Vdpa,
@@ -167,6 +168,12 @@ def load_automaton(path: PathLike) -> Automaton:
 
 
 def dump_dataset(dataset: LabeledDataset) -> str:
+    """Raises FormatError for a word token that would not parse back as itself."""
+    for sym in dataset.symbols():
+        try:
+            validate_symbol(sym)
+        except AlphabetError as exc:
+            raise FormatError(str(exc)) from exc
     lines = []
     for sample in dataset:
         mark = "+" if sample.label else "-"

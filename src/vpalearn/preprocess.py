@@ -59,7 +59,7 @@ class LabeledDataset:
         return len(self.samples)
 
     def symbols(self) -> frozenset[str]:
-        return frozenset(sym for s in self.samples for sym in s.word)
+        return frozenset().union(*(s.word for s in self.samples))
 
     def positives(self) -> list[LabeledSample]:
         return [s for s in self.samples if s.label]

@@ -40,6 +40,10 @@ class TestVpaAlphabet:
         with pytest.raises(AlphabetError):
             VpaAlphabet(frozenset({"a b"}), frozenset(), frozenset())
 
+    def test_symbols_reject_comment_marker(self):
+        with pytest.raises(AlphabetError):
+            VpaAlphabet(frozenset({"a#"}), frozenset(), frozenset())
+
     def test_stack_aware_size_bound(self, arith_alphabet):
         a = arith_alphabet
         bound = len(a.internal) + len(a.call) + len(a.ret) * len(a.call)

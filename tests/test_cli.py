@@ -1,6 +1,22 @@
-import pytest
+import os
+import statistics
+import tempfile
 
-from vpalearn import builtin, formats
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vpalearn import (
+    BUILTIN_NAMES,
+    GenConfig,
+    builtin,
+    evaluate,
+    formats,
+    generate_dataset,
+    papni_learn,
+    rpni_learn,
+    split_dataset,
+)
 from vpalearn.cli import (
     EXIT_CONFLICT,
     EXIT_GENERATION,
@@ -118,6 +134,13 @@ class TestLearn:
         code = main(["learn", str(data), str(alpha), "--out", str(tmp_path / "m.aut")])
         assert code == EXIT_INPUT
 
+    def test_directory_as_output(self, tmp_path, capsys):
+        data, alpha = write_worked_files(tmp_path)
+        (tmp_path / "m.aut").mkdir()
+        code = main(["learn", str(data), str(alpha), "--out", str(tmp_path / "m.aut")])
+        assert code == EXIT_INPUT
+        assert "cannot write model" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_writes_dataset_and_manifest(self, tmp_path, capsys):
@@ -152,6 +175,9 @@ class TestGenerate:
         assert code == EXIT_INPUT
         assert "available" in capsys.readouterr().err
 
+    def test_empty_grammar_name(self, tmp_path):
+        assert main(["generate", "--grammar", "", "--out", str(tmp_path / "d.txt")]) == EXIT_INPUT
+
     def test_generation_failure(self, tmp_path):
         code = main(["generate", "--grammar", "anbn", "--total", "4",
                      "--len-min", "4", "--len-max", "4", "--mode", "balanced",
@@ -180,6 +206,18 @@ class TestGenerate:
     def test_len_min_above_len_max(self, tmp_path):
         code = main(["generate", "--grammar", "dyck1", "--len-min", "9", "--len-max", "3",
                      "--out", str(tmp_path / "d.txt")])
+        assert code == EXIT_INPUT
+
+    def test_output_in_missing_directory(self, tmp_path, capsys):
+        code = main(["generate", "--grammar", "dyck1", "--total", "10",
+                     "--out", str(tmp_path / "nodir" / "x.txt")])
+        assert code == EXIT_INPUT
+        assert "cannot write dataset" in capsys.readouterr().err
+
+    def test_automaton_without_symbols(self, tmp_path):
+        model = tmp_path / "empty.aut"
+        model.write_text("vdpa\ninitial: s0\naccepting: s0\n")
+        code = main(["generate", "--automaton", str(model), "--out", str(tmp_path / "d.txt")])
         assert code == EXIT_INPUT
 
     def test_directory_as_automaton(self, tmp_path):
@@ -287,6 +325,28 @@ class TestBenchmark:
                      "--total", "6", "--seed", "4"])
         assert code == EXIT_GENERATION
 
+    def test_directory_as_output(self, tmp_path, capsys):
+        code = main(["benchmark", "--grammars", "dyck1", "--repeats", "1",
+                     "--total", "100", "--mode", "balanced", "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert "cannot write report" in capsys.readouterr().err
+
+    def test_seed_schedule_is_pinned(self, tmp_path):
+        # repeat r runs on data drawn at seed + r, as acceptance criterion 3 does
+        out = tmp_path / "f"
+        code = main(["benchmark", "--grammars", "dyck2", "--mode", "balanced", "--seed", "73",
+                     "--repeats", "2", "--total", "400", "--out", str(out)])
+        assert code == EXIT_OK
+        gt = builtin("dyck2")
+        f1 = {"rpni": [], "papni": []}
+        for seed in (73, 74):
+            data = generate_dataset(gt, GenConfig(total=400, seed=seed, mode="balanced"))
+            train, evl = split_dataset(data, seed=seed)
+            f1["rpni"].append(evaluate(rpni_learn(train), evl).f1)
+            f1["papni"].append(evaluate(papni_learn(train, gt.alphabet)[0], evl).f1)
+        reported = [line.split(": ")[1] for line in out.read_text().splitlines()
+                    if line.startswith("mean_f1:")]
+        assert reported == [f"{statistics.fmean(f1[learner]):.6f}" for learner in ("rpni", "papni")]
 
     @pytest.mark.parametrize("flag,value", [
         ("--repeats", "0"), ("--repeats", "-1"), ("--total", "1"),
@@ -309,8 +369,103 @@ class TestConvert:
     def test_directory_as_model(self, tmp_path):
         assert main(["convert", str(tmp_path)]) == EXIT_INPUT
 
+    def test_directory_as_output(self, tmp_path, capsys):
+        model_path = tmp_path / "gt.aut"
+        formats.save_automaton(builtin("dyck1").vdpa, model_path)
+        assert main(["convert", str(model_path), "--out", str(tmp_path)]) == EXIT_INPUT
+        assert "cannot write DOT file" in capsys.readouterr().err
+
     def test_unknown_target(self, tmp_path):
         gt = builtin("dyck1")
         model_path = tmp_path / "gt.aut"
         formats.save_automaton(gt.vdpa, model_path)
         assert main(["convert", str(model_path), "--to", "svg"]) == EXIT_INPUT
+
+
+# line pools of the three input formats, some lines malformed, and whole
+# files that reach learning, conflicts and the empty-alphabet case
+_DATA_LINES = ["+ ( )", "- ( ) )", "+", "- (", "+ ( ( ) )", "- ) (", "+ ( ( )", "- a # b",
+               "? x", "+ ( x )"]
+_ALPHA_LINES = ["internal: 1 +", "internal:", "call: (", "call: ( [", "return: )", "return:",
+                "colour: red"]
+_MODEL_LINES = ["dfa", "vdpa", "initial: s0", "initial:", "accepting: s0", "accepting:",
+                "s0 ( push -> s0", "s0 ) pop ( -> s0", "s0 ) pop ( -> s1", "s0 a -> s0",
+                "s0 a s1", "# internal: 1", "# call: (", "# return: )", "# alphabet: a"]
+
+
+def _file_bytes(lines, whole):
+    return st.one_of(st.binary(max_size=40),
+                     st.lists(st.sampled_from(lines), max_size=8).map("\n".join).map(str.encode),
+                     st.sampled_from(whole).map(str.encode))
+
+
+_data_bytes = _file_bytes(_DATA_LINES, ["+ ( )\n+ ( ( ) )\n- ( ) )\n- )\n",
+                                        "+ ( )\n- ( )\n", "+ (\n- ) )\n"])
+_alpha_bytes = _file_bytes(_ALPHA_LINES, [PAREN_ALPHABET, "internal: 1 +\ncall: (\nreturn: )\n"])
+_model_bytes = _file_bytes(_MODEL_LINES, [formats.dump_automaton(builtin("dyck1").vdpa),
+                                          "vdpa\ninitial: s0\naccepting: s0\n",
+                                          "dfa\ninitial: s0\naccepting: s0\ns0 ( -> s0\n"])
+# the three fuzzed files, an existing directory, and paths that do not exist
+_PATHS = ["data.txt", "alpha.txt", "model.aut", "dir", "missing.txt",
+          "dir/out.txt", "missing/out.txt", "out.txt"]
+_path = st.sampled_from(_PATHS)
+_output = st.sampled_from(["out.txt", "dir", "missing/out.txt"])
+_count = st.one_of(st.sampled_from(["6", "20"]), st.sampled_from(["-1", "0", "1", "2", "3", "x"]))
+_grammar = st.sampled_from(list(BUILTIN_NAMES) + ["bogus", ""])
+
+
+def _input(name):
+    return st.one_of(st.just(name), _path)
+
+
+def _flags(draw, options):
+    argv = []
+    for flag, values in options:
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def _argv(draw):
+    # generate and benchmark always get a small --total: the default of
+    # 10,000 samples would make each run take seconds
+    mode, backend = st.sampled_from(["uniform", "balanced", "x"]), st.sampled_from(["rpni", "edsm", "x"])
+    command = draw(st.sampled_from(["learn", "generate", "eval", "check", "benchmark", "convert"]))
+    if command == "learn":
+        return ["learn", draw(_input("data.txt")), draw(_input("alpha.txt")),
+                "--out", draw(_output)] + _flags(
+            draw, [("--backend", backend), ("--mode", st.sampled_from(["dfa", "vdpa", "x"]))])
+    if command == "generate":
+        source = (["--grammar", draw(_grammar)] if draw(st.booleans())
+                  else ["--automaton", draw(_input("model.aut"))])
+        return ["generate"] + source + ["--total", draw(_count), "--out", draw(_output)] + _flags(
+            draw, [("--len-min", _count), ("--len-max", _count),
+                   ("--seed", _count), ("--mode", mode), ("--split", None)])
+    if command == "eval":
+        return ["eval", draw(_input("model.aut")), draw(_input("data.txt"))]
+    if command == "check":
+        return ["check", draw(_input("data.txt")), draw(_input("alpha.txt"))]
+    if command == "benchmark":
+        grammars = ",".join(draw(st.lists(_grammar, min_size=1, max_size=2)))
+        return ["benchmark", "--grammars", grammars, "--total", draw(_count)] + _flags(
+            draw, [("--repeats", st.sampled_from(["0", "1", "2"])), ("--seed", _count),
+                   ("--mode", mode), ("--backend", backend), ("--out", _output)])
+    return ["convert", draw(_input("model.aut"))] + _flags(
+        draw, [("--to", st.sampled_from(["dot", "svg"])), ("--out", _output)])
+
+
+@given(_argv(), _data_bytes, _alpha_bytes, _model_bytes)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_runs_exit_with_a_contract_code(argv, data, alpha, model):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in (("data.txt", data), ("alpha.txt", alpha), ("model.aut", model)):
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(content)
+        os.mkdir(os.path.join(tmp, "dir"))
+        args = [os.path.join(tmp, a) if a in _PATHS else a for a in argv]
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in {EXIT_OK, EXIT_INPUT, EXIT_CONFLICT, EXIT_NO_SAMPLES, EXIT_GENERATION}

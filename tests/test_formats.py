@@ -1,6 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vpalearn import Dfa, VpaAlphabet, bounded_equivalence, dfa_accepts
+from vpalearn import (
+    AlphabetError,
+    Dfa,
+    LabeledDataset,
+    NoWellMatchedSamplesError,
+    VpaAlphabet,
+    bounded_equivalence,
+    classify,
+    dfa_accepts,
+    papni_learn,
+    rpni_learn,
+)
+from vpalearn.automata import PAIR_SEP, validate_symbol
 from vpalearn.formats import (
     FormatError,
     dump_alphabet,
@@ -92,6 +106,12 @@ class TestDatasetFormat:
 
         assert load_dataset(path).samples == worked_dataset.samples
 
+    @pytest.mark.parametrize("token", ["#", "a#b", "a b", "a\nb", ""])
+    def test_unparseable_token_is_refused(self, token):
+        # such a token would come back as a comment, two tokens or nothing
+        with pytest.raises(FormatError):
+            dump_dataset(as_dataset([(("a", token), True)]))
+
 
 class TestAlphabetFormat:
     def test_round_trip(self, arith_alphabet):
@@ -113,3 +133,64 @@ class TestAlphabetFormat:
         # call without return is not a valid visibly-pushdown alphabet
         with pytest.raises(FormatError):
             parse_alphabet("internal:\ncall: (\nreturn:\n")
+
+
+def _is_symbol(token: str) -> bool:
+    try:
+        validate_symbol(token)
+    except AlphabetError:
+        return False
+    return True
+
+
+# every token the validator accepts, with the formats' own keywords and
+# separators drawn often enough to collide with the syntax
+_symbols = st.one_of(
+    st.sampled_from(["->", "push", "pop", "+", "-", ":", PAIR_SEP, "a|b", "dfa", "vdpa",
+                     "initial:", "accepting:", "alphabet:", "internal:", "call:", "return:"]),
+    st.text(min_size=1, max_size=4),
+).filter(_is_symbol)
+
+
+@st.composite
+def _alphabets_and_datasets(draw):
+    symbols = draw(st.lists(_symbols, min_size=1, max_size=6, unique=True))
+    kinds = {sym: draw(st.sampled_from(["internal", "call", "return"]))
+             for sym in symbols if PAIR_SEP not in sym}
+    parts = {kind: frozenset(s for s, k in kinds.items() if k == kind)
+             for kind in ("internal", "call", "return")}
+    if not (parts["call"] and parts["return"]):
+        parts = {"internal": frozenset(kinds), "call": frozenset(), "return": frozenset()}
+    alphabet = VpaAlphabet(parts["internal"], parts["call"], parts["return"])
+    # the dataset may use symbols outside the alphabet; the pushdown model
+    # learns from the words over the alphabet only
+    words = draw(st.dictionaries(st.lists(st.sampled_from(symbols), max_size=6).map(tuple),
+                                 st.booleans(), max_size=12))
+    return alphabet, as_dataset(sorted(words.items()))
+
+
+def _assert_model_round_trips(model, words):
+    text = dump_automaton(model)
+    back = parse_automaton(text)
+    assert dump_automaton(back) == text
+    assert back.alphabet == model.alphabet
+    assert len(back.states) == len(model.states)
+    for word in words:
+        assert classify(back, word) == classify(model, word)
+
+
+@given(_alphabets_and_datasets())
+@settings(max_examples=200, deadline=None)
+def test_every_valid_symbol_round_trips(case):
+    alphabet, dataset = case
+    assert parse_dataset(dump_dataset(dataset)).samples == dataset.samples
+    assert parse_alphabet(dump_alphabet(alphabet)) == alphabet
+    words = [s.word for s in dataset]
+    if dataset.samples:
+        _assert_model_round_trips(rpni_learn(dataset), words)
+    over_alphabet = LabeledDataset([s for s in dataset if set(s.word) <= alphabet.symbols])
+    try:
+        vdpa, _ = papni_learn(over_alphabet, alphabet)
+    except NoWellMatchedSamplesError:
+        return
+    _assert_model_round_trips(vdpa, [s.word for s in over_alphabet])
