@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
@@ -291,34 +290,24 @@ def _enumerate_words(symbols: Sequence[str], max_len: int,
 
 
 def bounded_equivalence(a: Automaton, b: Automaton, max_len: int,
-                        rejected_sample: int = 200, seed: int = 0,
                         ) -> Optional[tuple[str, ...]]:
     """Compare two automata on all words up to ``max_len``.
 
     Returns ``None`` when equivalent, otherwise the shortest (then
     lexicographically smallest) word they classify differently.
 
-    When both automata are VDPAs only well-matched words can be accepted, so
-    enumeration is restricted to well-matched words plus a seeded random
-    sample of non-well-matched ones.
+    Two VDPAs over the same internal/call/return split both reject every
+    word that is not well-matched, so only well-matched words are
+    enumerated for them.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    syms_a, syms_b = model_symbols(a), model_symbols(b)
-    if syms_a != syms_b:
-        raise AlphabetError(f"alphabet mismatch: {sorted(syms_a)} vs {sorted(syms_b)}")
     alpha = a.alphabet if isinstance(a, Vdpa) and isinstance(b, Vdpa) else None
-    for word in _enumerate_words(sorted(syms_a), max_len, alpha):
+    if model_symbols(a) != model_symbols(b) or (alpha is not None and b.alphabet != alpha):
+        raise AlphabetError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
+    for word in _enumerate_words(sorted(model_symbols(a)), max_len, alpha):
         if classify(a, word) != classify(b, word):
             return word
-    if alpha is not None and syms_a:
-        rng = random.Random(seed)
-        order = sorted(syms_a)
-        for _ in range(rejected_sample):
-            n = rng.randint(0, max_len)
-            word = tuple(rng.choice(order) for _ in range(n))
-            if classify(a, word) != classify(b, word):
-                return word  # pragma: no cover - both must reject non-matched words
     return None
 
 

@@ -11,7 +11,8 @@ import random
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .automata import Automaton, Vdpa, VpaAlphabet, classify, vdpa_accepts
+from .automata import Automaton, Dfa, Vdpa, VpaAlphabet, classify, vdpa_accepts
+from .papni import dfa_to_vdpa
 from .preprocess import LabeledDataset, LabeledSample, Word
 
 
@@ -28,6 +29,8 @@ class GroundTruth:
     def __post_init__(self) -> None:
         if self.vdpa.alphabet != self.alphabet:
             raise ValueError("ground-truth automaton and alphabet disagree")
+        if not self.alphabet.symbols:
+            raise ValueError("ground-truth alphabet has no symbols to draw words from")
 
 
 @dataclass(frozen=True)
@@ -65,110 +68,99 @@ class EvalMetrics:
 
 
 def _simple_vdpa(internal, call, ret, transitions, initial, accepting,
-                 states) -> tuple[Vdpa, VpaAlphabet]:
-    """transitions: list of (src, sym, dst); return symbols expand to a pop
-    per matching call unless given as (src, (ret, top), dst)."""
-    alphabet = VpaAlphabet(frozenset(internal), frozenset(call), frozenset(ret))
-    internal_trans, call_trans, return_trans = {}, {}, {}
-    for src, sym, dst in transitions:
-        if isinstance(sym, tuple):
-            r, top = sym
-            return_trans[(src, r, top)] = dst
-        elif sym in alphabet.internal:
-            internal_trans[(src, sym)] = dst
-        elif sym in alphabet.call:
-            call_trans[(src, sym)] = dst
-        else:
-            raise ValueError(f"unclassified symbol {sym!r}")
-    vdpa = Vdpa(frozenset(states), alphabet, internal_trans, call_trans,
-                return_trans, initial, frozenset(accepting))
-    return vdpa, alphabet
+                 states) -> Vdpa:
+    """The lift of a DFA over the stack-aware alphabet: transitions are
+    (src, sym, dst), a return written as its ``ret|call`` pair."""
+    alphabet = VpaAlphabet(internal, call, ret)
+    dfa = Dfa(states, alphabet.stack_aware_symbols(),
+              {(src, sym): dst for src, sym, dst in transitions}, initial, accepting)
+    return dfa_to_vdpa(dfa, alphabet)
 
 
-def _balanced_parens() -> tuple[Vdpa, VpaAlphabet]:
+def _balanced_parens() -> Vdpa:
     # ("^n ")"^n for n >= 1; s2 is a sink that discards everything after
     # the first pop is followed by a push
     return _simple_vdpa(
         internal=[], call=["("], ret=[")"],
         transitions=[
             ("s0", "(", "s0"),
-            ("s0", (")", "("), "s1"),
-            ("s1", (")", "("), "s1"),
+            ("s0", ")|(", "s1"),
+            ("s1", ")|(", "s1"),
             ("s1", "(", "s2"),
             ("s2", "(", "s2"),
-            ("s2", (")", "("), "s2"),
+            ("s2", ")|(", "s2"),
         ],
         initial="s0", accepting=["s1"], states=["s0", "s1", "s2"])
 
 
-def _arithmetic_expr() -> tuple[Vdpa, VpaAlphabet]:
+def _arithmetic_expr() -> Vdpa:
     return _simple_vdpa(
         internal=["1", "+"], call=["("], ret=[")"],
         transitions=[
             ("s0", "(", "s0"),
             ("s0", "1", "s1"),
-            ("s1", (")", "("), "s1"),
+            ("s1", ")|(", "s1"),
             ("s1", "+", "s0"),
         ],
         initial="s0", accepting=["s1"], states=["s0", "s1"])
 
 
-def _anbn() -> tuple[Vdpa, VpaAlphabet]:
+def _anbn() -> Vdpa:
     return _simple_vdpa(
         internal=[], call=["a"], ret=["b"],
         transitions=[
             ("s0", "a", "s0"),
-            ("s0", ("b", "a"), "s1"),
-            ("s1", ("b", "a"), "s1"),
+            ("s0", "b|a", "s1"),
+            ("s1", "b|a", "s1"),
         ],
         initial="s0", accepting=["s1"], states=["s0", "s1"])
 
 
-def _dyck1() -> tuple[Vdpa, VpaAlphabet]:
+def _dyck1() -> Vdpa:
     return _simple_vdpa(
         internal=[], call=["("], ret=[")"],
         transitions=[
             ("s0", "(", "s0"),
-            ("s0", (")", "("), "s0"),
+            ("s0", ")|(", "s0"),
         ],
         initial="s0", accepting=["s0"], states=["s0"])
 
 
-def _dyck2() -> tuple[Vdpa, VpaAlphabet]:
+def _dyck2() -> Vdpa:
     return _simple_vdpa(
         internal=[], call=["(", "["], ret=[")", "]"],
         transitions=[
             ("s0", "(", "s0"),
             ("s0", "[", "s0"),
-            ("s0", (")", "("), "s0"),
-            ("s0", ("]", "["), "s0"),
+            ("s0", ")|(", "s0"),
+            ("s0", "]|[", "s0"),
         ],
         initial="s0", accepting=["s0"], states=["s0"])
 
 
-def _dyck1_parity(accept_odd: bool) -> tuple[Vdpa, VpaAlphabet]:
+def _dyck1_parity(accept_odd: bool) -> Vdpa:
     # two states track the parity of the number of opening brackets
     return _simple_vdpa(
         internal=[], call=["("], ret=[")"],
         transitions=[
             ("even", "(", "odd"),
             ("odd", "(", "even"),
-            ("even", (")", "("), "even"),
-            ("odd", (")", "("), "odd"),
+            ("even", ")|(", "even"),
+            ("odd", ")|(", "odd"),
         ],
         initial="even", accepting=["odd" if accept_odd else "even"],
         states=["even", "odd"])
 
 
-def _nested_xml_tags() -> tuple[Vdpa, VpaAlphabet]:
+def _nested_xml_tags() -> Vdpa:
     return _simple_vdpa(
         internal=["text"], call=["<a>", "<b>"], ret=["</a>", "</b>"],
         transitions=[
             ("s0", "text", "s0"),
             ("s0", "<a>", "s0"),
             ("s0", "<b>", "s0"),
-            ("s0", ("</a>", "<a>"), "s0"),
-            ("s0", ("</b>", "<b>"), "s0"),
+            ("s0", "</a>|<a>", "s0"),
+            ("s0", "</b>|<b>", "s0"),
         ],
         initial="s0", accepting=["s0"], states=["s0"])
 
@@ -192,8 +184,8 @@ def builtin(name: str) -> GroundTruth:
         factory = _BUILTINS[name]
     except KeyError:
         raise KeyError(f"unknown grammar {name!r}; available: {', '.join(BUILTIN_NAMES)}")
-    vdpa, alphabet = factory()
-    return GroundTruth(name, vdpa, alphabet)
+    vdpa = factory()
+    return GroundTruth(name, vdpa, vdpa.alphabet)
 
 
 def _uniform_word(rng: random.Random, symbols: list[str], cfg: GenConfig) -> Word:

@@ -90,9 +90,10 @@ def _ground_truth(args) -> GroundTruth:
     model = _load(formats.load_automaton, args.automaton, "automaton")
     if not isinstance(model, Vdpa):
         raise _CliError(EXIT_INPUT, "ground-truth automaton must be a vdpa")
-    if not model.alphabet.symbols:
-        raise _CliError(EXIT_INPUT, "ground-truth automaton has no symbols to draw words from")
-    return GroundTruth(Path(args.automaton).stem, model, model.alphabet)
+    try:
+        return GroundTruth(Path(args.automaton).stem, model, model.alphabet)
+    except ValueError as exc:
+        raise _CliError(EXIT_INPUT, str(exc))
 
 
 def cmd_learn(args) -> int:
@@ -132,11 +133,12 @@ def cmd_learn(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    try:
+        cfg = GenConfig(total=args.total, len_min=args.len_min, len_max=args.len_max,
+                        seed=args.seed, mode=args.mode)
+    except ValueError as exc:
+        raise _CliError(EXIT_INPUT, str(exc))
     gt = _ground_truth(args)
-    if args.len_min > args.len_max:
-        raise _CliError(EXIT_INPUT, "--len-min must not exceed --len-max")
-    cfg = GenConfig(total=args.total, len_min=args.len_min, len_max=args.len_max,
-                    seed=args.seed, mode=args.mode)
     try:
         dataset = benchgen.generate_dataset(gt, cfg)
     except GenerationError as exc:
@@ -205,16 +207,18 @@ def cmd_check(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    grammars = [g for part in args.grammars for g in part.split(",") if g]
+    # every name is resolved before the first dataset is generated
+    try:
+        truths = [builtin(g) for part in args.grammars for g in part.split(",") if g]
+    except KeyError as exc:
+        raise _CliError(EXIT_INPUT, str(exc))
+    if not truths:
+        raise _CliError(EXIT_INPUT, "no grammar names given")
     config = PapniConfig(backend=args.backend)
     learners = {"rpni": lambda train, alphabet: rpni_learn(train),
                 "papni": lambda train, alphabet: papni_learn(train, alphabet, config)[0]}
     rows = []
-    for grammar in grammars:
-        try:
-            gt = builtin(grammar)
-        except KeyError as exc:
-            raise _CliError(EXIT_INPUT, str(exc))
+    for gt in truths:
         runs: dict[str, list[tuple[float, int, float]]] = {name: [] for name in learners}
         # repeat r draws its data at seed + r, the schedule of acceptance criterion 3
         for seed in range(args.seed, args.seed + args.repeats):
@@ -222,18 +226,18 @@ def cmd_benchmark(args) -> int:
             try:
                 train, evl = benchgen.split_dataset(benchgen.generate_dataset(gt, cfg), seed=seed)
             except (GenerationError, ValueError) as exc:
-                raise _CliError(EXIT_GENERATION, f"{grammar}: {exc}")
+                raise _CliError(EXIT_GENERATION, f"{gt.name}: {exc}")
             for name, learn in learners.items():
                 t0 = time.perf_counter()
                 try:
                     model = learn(train, gt.alphabet)
                 except NoWellMatchedSamplesError as exc:
-                    raise _CliError(EXIT_NO_SAMPLES, f"{grammar}: {exc}")
+                    raise _CliError(EXIT_NO_SAMPLES, f"{gt.name}: {exc}")
                 elapsed = time.perf_counter() - t0
                 runs[name].append((benchgen.evaluate(model, evl).f1, model.size, elapsed))
         for name, results in runs.items():
             f1s, sizes, times = zip(*results)
-            rows.append((grammar, name, statistics.fmean(f1s), statistics.pstdev(f1s),
+            rows.append((gt.name, name, statistics.fmean(f1s), statistics.pstdev(f1s),
                          statistics.fmean(sizes), sum(times)))
     print(f"{'grammar':<18} {'learner':<7} {'mean_f1':>8} {'std_f1':>8} {'mean_size':>10} {'time_s':>8}")
     for grammar, name, mean_f1, std_f1, mean_size, wall in rows:
@@ -243,7 +247,7 @@ def cmd_benchmark(args) -> int:
             f"grammar: {grammar}\nlearner: {name}\nmean_f1: {mean_f1:.6f}\n"
             f"std_f1: {std_f1:.6f}\nmean_model_size: {mean_size:.2f}\nwall_time_s: {wall:.3f}"
             for grammar, name, mean_f1, std_f1, mean_size, wall in rows) + "\n", "report")
-    _manifest([("command", "benchmark"), ("grammars", ",".join(grammars)),
+    _manifest([("command", "benchmark"), ("grammars", ",".join(gt.name for gt in truths)),
                ("repeats", args.repeats), ("seed", args.seed),
                ("total", args.total), ("out", args.out or "-")], None)
     return EXIT_OK

@@ -80,24 +80,10 @@ def papni_learn(dataset: LabeledDataset, alphabet: VpaAlphabet,
                 cfg: PapniConfig = PapniConfig(),
                 ) -> tuple[Vdpa, PreprocessReport]:
     """Full pipeline: filter, transform, learn over the extended alphabet,
-    lift. With empty call/return alphabets the preprocessing is the identity
-    and the result is the backend's DFA wrapped as a stack-free model."""
-    learn = _BACKENDS[cfg.backend]
-    if not alphabet.call and not alphabet.ret:
-        dfa = learn(dataset)
-        wrapped_alphabet = VpaAlphabet(internal=alphabet.internal | dfa.alphabet)
-        vdpa = Vdpa(
-            states=dfa.states,
-            alphabet=wrapped_alphabet,
-            internal_trans=dict(dfa.transitions),
-            call_trans={},
-            return_trans={},
-            initial=dfa.initial,
-            accepting=dfa.accepting,
-        )
-        return vdpa, PreprocessReport(kept=len(dataset))
+    lift. A dataset symbol outside the alphabet raises ``AlphabetError``.
+    With empty call/return sets the filter and the rewrite are the identity
+    and the model has internal transitions only."""
     kept, report = preprocess_dataset(dataset, alphabet)
     if not kept.samples:
         raise NoWellMatchedSamplesError("no well-matched samples after filtering")
-    dfa = learn(kept)
-    return dfa_to_vdpa(dfa, alphabet), report
+    return dfa_to_vdpa(_BACKENDS[cfg.backend](kept), alphabet), report

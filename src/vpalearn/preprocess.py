@@ -10,7 +10,7 @@ which flattens the stack behavior into the symbol stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
 from .automata import (
     AlphabetError,
@@ -102,42 +102,40 @@ class PreprocessReport:
         return out
 
 
-def is_well_matched(word: Sequence[str], alphabet: VpaAlphabet) -> bool:
-    """Counter check: +1 per call, -1 per return, never negative, ends at 0."""
-    counter = 0
-    for sym in word:
-        kind = alphabet.kind(sym)
-        if kind == "call":
-            counter += 1
-        elif kind == "return":
-            counter -= 1
-        if counter < 0:
-            return False
-    return counter == 0
-
-
-def to_stack_aware(word: Sequence[str], alphabet: VpaAlphabet) -> Word:
-    """Rewrite a well-matched word over the extended alphabet.
-
-    Walks the word with an explicit stack; each return symbol is paired with
-    the call symbol it pops. Output length equals input length.
-    """
+def _rewrite(word: Sequence[str], alphabet: VpaAlphabet) -> Optional[Word]:
+    """One stack walk: the word over the extended alphabet, each return fused
+    with the call it pops, or ``None`` if the word pops an empty stack or
+    leaves a call open. A symbol outside the alphabet raises ``AlphabetError``."""
+    internal, call, ret = alphabet.internal, alphabet.call, alphabet.ret
     out: list[str] = []
     stack: list[str] = []
     for sym in word:
-        kind = alphabet.kind(sym)
-        if kind == "call":
+        if sym in call:
             stack.append(sym)
             out.append(sym)
-        elif kind == "return":
+        elif sym in ret:
             if not stack:
-                raise TransformError(f"word {' '.join(word)!r} pops from an empty stack")
+                return None
             out.append(make_return_pair(sym, stack.pop()))
-        else:
+        elif sym in internal:
             out.append(sym)
-    if stack:
-        raise TransformError(f"word {' '.join(word)!r} leaves the stack non-empty")
-    return tuple(out)
+        else:
+            raise AlphabetError(f"symbol {sym!r} not in alphabet")
+    return None if stack else tuple(out)
+
+
+def is_well_matched(word: Sequence[str], alphabet: VpaAlphabet) -> bool:
+    """No return pops an empty stack and no call is left open."""
+    return _rewrite(word, alphabet) is not None
+
+
+def to_stack_aware(word: Sequence[str], alphabet: VpaAlphabet) -> Word:
+    """Rewrite a well-matched word over the extended alphabet; any other
+    word raises ``TransformError``."""
+    rewritten = _rewrite(word, alphabet)
+    if rewritten is None:
+        raise TransformError(f"word {' '.join(word)!r} is not well-matched")
+    return rewritten
 
 
 def from_stack_aware(word: Sequence[str]) -> Word:
@@ -152,16 +150,15 @@ def preprocess_dataset(dataset: LabeledDataset, alphabet: VpaAlphabet,
     report = PreprocessReport()
     kept: list[LabeledSample] = []
     for sample in dataset:
-        if not is_well_matched(sample.word, alphabet):
-            if sample.label:
-                report.dropped_positive += 1
-            else:
-                report.dropped_negative += 1
-            continue
-        transformed = to_stack_aware(sample.word, alphabet)
-        for sym in transformed:
-            if is_return_pair(sym):
-                report.observed_pairs.add(split_return_pair(sym))
-        kept.append(LabeledSample(transformed, sample.label))
+        rewritten = _rewrite(sample.word, alphabet)
+        if rewritten is not None:
+            kept.append(LabeledSample(rewritten, sample.label))
+        elif sample.label:
+            report.dropped_positive += 1
+        else:
+            report.dropped_negative += 1
+    result = LabeledDataset(kept)
     report.kept = len(kept)
-    return LabeledDataset(kept), report
+    report.observed_pairs = {split_return_pair(sym) for sym in result.symbols()
+                             if is_return_pair(sym)}
+    return result, report

@@ -5,19 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vpalearn import (
+    BUILTIN_NAMES,
     AlphabetError,
     Dfa,
+    NoWellMatchedSamplesError,
     Reason,
+    Vdpa,
     VpaAlphabet,
     bounded_equivalence,
+    builtin,
     dfa_accepts,
     is_well_matched,
+    papni_learn,
     render_dot,
     vdpa_accepts,
 )
 from vpalearn.automata import canonical_names
 
-from conftest import oracle_dfa_walk
+from conftest import as_dataset, oracle_dfa_walk, oracle_well_matched
 
 
 def W(text: str) -> tuple:
@@ -123,6 +128,24 @@ class TestVdpaAccepts:
         if vdpa_accepts(gt.vdpa, word).accepted:
             assert is_well_matched(word, gt.alphabet)
 
+    @given(st.sampled_from(BUILTIN_NAMES), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_no_vdpa_accepts_a_non_well_matched_word(self, name, data):
+        # empty-stack acceptance: a word that pops an empty stack or leaves
+        # calls open is rejected by every pushdown model, learned or not,
+        # so comparing two of them on such words can never find a difference
+        gt = builtin(name)
+        words = st.lists(st.sampled_from(sorted(gt.alphabet.symbols)), max_size=10).map(tuple)
+        train = data.draw(st.dictionaries(words, st.booleans(), min_size=1, max_size=12))
+        models = [gt.vdpa]
+        try:
+            models.append(papni_learn(as_dataset(sorted(train.items())), gt.alphabet)[0])
+        except NoWellMatchedSamplesError:
+            pass
+        word = data.draw(words.filter(lambda w: not oracle_well_matched(w, gt.alphabet)))
+        for model in models:
+            assert not vdpa_accepts(model, word).accepted
+
 
 class TestBoundedEquivalence:
     def test_reflexive(self, parens_gt):
@@ -139,6 +162,14 @@ class TestBoundedEquivalence:
         # dyck1 accepts the empty word and ()(); the worked-example target
         # does neither, and the empty word is the shortest difference
         assert bounded_equivalence(parens_gt.vdpa, dyck.vdpa, 6) == ()
+
+    def test_partition_mismatch(self):
+        # ")" is a return symbol for dyck1 but an internal one here, so the
+        # flat model accepts words that are not well-matched for dyck1
+        flat = Vdpa(frozenset({"q"}), VpaAlphabet(frozenset({"(", ")"})),
+                    {("q", "("): "q", ("q", ")"): "q"}, {}, {}, "q", frozenset({"q"}))
+        with pytest.raises(AlphabetError):
+            bounded_equivalence(builtin("dyck1").vdpa, flat, 4)
 
 
 class TestRenderDot:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,10 @@ from vpalearn import (
     EvalMetrics,
     GenConfig,
     GenerationError,
+    GroundTruth,
     LabeledDataset,
+    Vdpa,
+    VpaAlphabet,
     builtin,
     evaluate,
     generate_dataset,
@@ -16,7 +20,22 @@ from vpalearn import (
     vdpa_accepts,
 )
 
+from vpalearn.formats import dump_automaton
+
 from conftest import as_dataset, oracle_well_matched
+
+# sha256 of dump_automaton for every built-in ground truth: however the
+# built-ins are constructed, not one byte of them may change
+BUILTIN_SHA256 = {
+    "anbn": "d5e65e14a480f75550e67731ef735d1cbc4cfac3b39f6e6cb4c9bddd35a73431",
+    "arithmetic_expr": "f7ed7bf5c092e50e04b02d16cb6d0c9acff4ebf004be7ec97a9c559ff85657d5",
+    "balanced_parens": "d4eee6bde4207cb8a6a2a5fa4f4cc930f6803e1c35cbe2121e09e6cfff9b3f4f",
+    "dyck1": "1e74d23da7c2ae2c3a635a6a0272720087ec95766a4e6c67d2c602384e3c89e7",
+    "dyck1_even": "1f85b56478dc77b8e7c93f9d350f7f2b0ca7593c0571ef741bd612e2de4a3bba",
+    "dyck1_odd": "ce88028864a2ebb17697503a5a0116c90a2b498011d41f5e933c4dc5fa78431d",
+    "dyck2": "7a73191a9836d1ba2629f870a740343cb44b02e3da1c81c4cb60ef647e478076",
+    "nested_xml_tags": "ca91000a4d8aa45c48d42bf9819c90baffc2af6633f62903cbe05a58cbdf00ed",
+}
 
 
 class TestBuiltins:
@@ -40,6 +59,18 @@ class TestBuiltins:
             word = tuple(rng.choice(symbols) for _ in range(rng.randrange(0, 10)))
             if vdpa_accepts(gt.vdpa, word).accepted:
                 assert oracle_well_matched(word, gt.alphabet)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_dump_is_pinned(self, name):
+        text = dump_automaton(builtin(name).vdpa)
+        assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_SHA256[name]
+
+    def test_ground_truth_needs_symbols(self):
+        # uniform sampling draws from the alphabet, so it must not be empty
+        alphabet = VpaAlphabet()
+        vdpa = Vdpa(frozenset({"s0"}), alphabet, {}, {}, {}, "s0", frozenset({"s0"}))
+        with pytest.raises(ValueError):
+            GroundTruth("empty", vdpa, alphabet)
 
     def test_anbn_language(self):
         gt = builtin("anbn")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vpalearn import (
     BUILTIN_NAMES,
     GenConfig,
+    benchgen,
     builtin,
     evaluate,
     formats,
@@ -133,6 +134,18 @@ class TestLearn:
         alpha.write_bytes(b"internal:\ncall: \xfe\nreturn: )\n")
         code = main(["learn", str(data), str(alpha), "--out", str(tmp_path / "m.aut")])
         assert code == EXIT_INPUT
+
+    def test_internal_only_alphabet(self, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_text("+\n- a\n+ a b\n+ a b a b\n- b\n- a a\n")
+        alpha = tmp_path / "alphabet.txt"
+        alpha.write_text("internal: a b\ncall:\nreturn:\n")
+        out = tmp_path / "model.aut"
+        assert main(["learn", str(data), str(alpha), "--out", str(out)]) == EXIT_OK
+        assert "kept: 6" in capsys.readouterr().out
+        edges = [line for line in out.read_text().splitlines() if "->" in line]
+        assert edges
+        assert all(" push " not in line and " pop " not in line for line in edges)
 
     def test_directory_as_output(self, tmp_path, capsys):
         data, alpha = write_worked_files(tmp_path)
@@ -324,6 +337,20 @@ class TestBenchmark:
         code = main(["benchmark", "--grammars", "dyck1", "--repeats", "1",
                      "--total", "6", "--seed", "4"])
         assert code == EXIT_GENERATION
+
+    def test_no_grammar_names(self, capsys):
+        assert main(["benchmark", "--grammars", ","]) == EXIT_INPUT
+        assert "no grammar" in capsys.readouterr().err
+
+    def test_unknown_grammar_before_any_generation(self, monkeypatch, capsys):
+        generated = []
+        monkeypatch.setattr(benchgen, "generate_dataset",
+                            lambda gt, cfg: generated.append(gt.name))
+        code = main(["benchmark", "--grammars", "dyck1,bogus", "--repeats", "1",
+                     "--total", "100", "--mode", "balanced"])
+        assert code == EXIT_INPUT
+        assert "bogus" in capsys.readouterr().err
+        assert generated == []
 
     def test_directory_as_output(self, tmp_path, capsys):
         code = main(["benchmark", "--grammars", "dyck1", "--repeats", "1",

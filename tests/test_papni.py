@@ -3,7 +3,9 @@ import random
 import pytest
 
 from vpalearn import (
+    AlphabetError,
     Dfa,
+    LabeledDataset,
     NoWellMatchedSamplesError,
     PapniConfig,
     VpaAlphabet,
@@ -17,6 +19,12 @@ from vpalearn import (
 )
 
 from conftest import as_dataset, random_well_matched
+
+# papni_learn takes one path for both: no call/return symbols, and some
+_ALPHABETS = [
+    VpaAlphabet(frozenset({"a", "b"})),
+    VpaAlphabet(frozenset({"a"}), frozenset({"b"}), frozenset({"c"})),
+]
 
 
 class TestPapniConfig:
@@ -109,6 +117,17 @@ class TestPapniLearn:
         for _ in range(300):
             word = tuple(rng.choice("ab") for _ in range(rng.randrange(0, 10)))
             assert vdpa_accepts(vdpa, word).accepted == dfa_accepts(dfa, word)
+
+    @pytest.mark.parametrize("alpha", _ALPHABETS, ids=["internal_only", "call_return"])
+    def test_foreign_dataset_symbol(self, alpha):
+        ds = as_dataset([("ab", True), ("abx", False)])
+        with pytest.raises(AlphabetError):
+            papni_learn(ds, alpha)
+
+    @pytest.mark.parametrize("alpha", _ALPHABETS, ids=["internal_only", "call_return"])
+    def test_empty_dataset(self, alpha):
+        with pytest.raises(NoWellMatchedSamplesError):
+            papni_learn(LabeledDataset([]), alpha)
 
     def test_accepts_only_well_matched(self, worked_dataset, paren_alphabet):
         from vpalearn import is_well_matched
