@@ -24,13 +24,14 @@ class GenerationError(RuntimeError):
 class GroundTruth:
     name: str
     vdpa: Vdpa
-    alphabet: VpaAlphabet
 
     def __post_init__(self) -> None:
-        if self.vdpa.alphabet != self.alphabet:
-            raise ValueError("ground-truth automaton and alphabet disagree")
         if not self.alphabet.symbols:
             raise ValueError("ground-truth alphabet has no symbols to draw words from")
+
+    @property
+    def alphabet(self) -> VpaAlphabet:
+        return self.vdpa.alphabet
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ def builtin(name: str) -> GroundTruth:
     except KeyError:
         raise KeyError(f"unknown grammar {name!r}; available: {', '.join(BUILTIN_NAMES)}")
     vdpa = factory()
-    return GroundTruth(name, vdpa, vdpa.alphabet)
+    return GroundTruth(name, vdpa)
 
 
 def _uniform_word(rng: random.Random, symbols: list[str], cfg: GenConfig) -> Word:

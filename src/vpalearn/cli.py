@@ -27,7 +27,7 @@ from . import benchgen, formats
 from .automata import AlphabetError, Vdpa, render_dot
 from .benchgen import GenConfig, GenerationError, GroundTruth, builtin
 from .papni import NoWellMatchedSamplesError, PapniConfig, papni_learn
-from .preprocess import DatasetError, PreprocessReport
+from .preprocess import DatasetError
 from .rpni import edsm_learn, rpni_learn
 
 EXIT_OK = 0
@@ -66,10 +66,11 @@ def _load(loader, path: str, what: str):
         raise _CliError(EXIT_INPUT, str(exc))
 
 
-def _write(path: str | Path, text: str, what: str) -> None:
-    """Write a CLI output file; a failed write becomes exit code 2."""
+def _write(path: str | Path, text: str, what: str, mode: str = "w") -> None:
+    """Write (or with mode "a", append to) a CLI output file; a failure exits 2."""
     try:
-        Path(path).write_text(text)
+        with open(path, mode) as out:
+            out.write(text)
     except OSError as exc:
         raise _CliError(EXIT_INPUT, f"cannot write {what} {str(path)!r}: {exc.strerror}")
 
@@ -91,7 +92,7 @@ def _ground_truth(args) -> GroundTruth:
     if not isinstance(model, Vdpa):
         raise _CliError(EXIT_INPUT, "ground-truth automaton must be a vdpa")
     try:
-        return GroundTruth(Path(args.automaton).stem, model, model.alphabet)
+        return GroundTruth(Path(args.automaton).stem, model)
     except ValueError as exc:
         raise _CliError(EXIT_INPUT, str(exc))
 
@@ -102,33 +103,29 @@ def cmd_learn(args) -> int:
     for sym in dataset.symbols():
         if sym not in alphabet.symbols:
             raise _CliError(EXIT_INPUT, f"dataset symbol {sym!r} not in alphabet")
-    report = PreprocessReport(kept=len(dataset))
-    if args.mode == "vdpa":
-        try:
+    report = None  # the raw DFA path filters nothing, so it has nothing to report
+    try:
+        if args.mode == "vdpa":
             model, report = papni_learn(dataset, alphabet, PapniConfig(backend=args.backend))
-        except NoWellMatchedSamplesError as exc:
-            raise _CliError(EXIT_NO_SAMPLES, str(exc))
-        except DatasetError as exc:
-            raise _CliError(EXIT_CONFLICT, str(exc))
-    else:
-        learn = rpni_learn if args.backend == "rpni" else edsm_learn
-        try:
-            model = learn(dataset)
-        except DatasetError as exc:
-            raise _CliError(EXIT_CONFLICT, str(exc))
+        else:
+            model = (rpni_learn if args.backend == "rpni" else edsm_learn)(dataset)
+    except NoWellMatchedSamplesError as exc:
+        raise _CliError(EXIT_NO_SAMPLES, str(exc))
+    except DatasetError as exc:
+        raise _CliError(EXIT_CONFLICT, str(exc))
     out = Path(args.out)
     _write(out, formats.dump_automaton(model), "model")
     _write(out.with_suffix(out.suffix + ".dot"), render_dot(model), "DOT file")
     print(f"model size: {model.size}")
-    for line in report.lines():
-        print(line)
-    _manifest(
-        [("command", "learn"), ("dataset", args.dataset), ("alphabet", args.alphabet),
-         ("backend", args.backend), ("mode", args.mode), ("output", str(out)),
-         ("model_size", model.size), ("kept", report.kept),
-         ("dropped_positive", report.dropped_positive),
-         ("dropped_negative", report.dropped_negative)],
-        out.with_suffix(out.suffix + ".manifest"))
+    entries = [("command", "learn"), ("dataset", args.dataset), ("alphabet", args.alphabet),
+               ("backend", args.backend), ("mode", args.mode), ("output", str(out)),
+               ("model_size", model.size)]
+    if report is not None:
+        for line in report.lines():
+            print(line)
+        entries += [("kept", report.kept), ("dropped_positive", report.dropped_positive),
+                    ("dropped_negative", report.dropped_negative)]
+    _manifest(entries, out.with_suffix(out.suffix + ".manifest"))
     return EXIT_OK
 
 
@@ -214,6 +211,10 @@ def cmd_benchmark(args) -> int:
         raise _CliError(EXIT_INPUT, str(exc))
     if not truths:
         raise _CliError(EXIT_INPUT, "no grammar names given")
+    if args.out:
+        # appending nothing finds an unwritable report path before the
+        # comparison runs, and leaves an existing report as it is
+        _write(args.out, "", "report", mode="a")
     config = PapniConfig(backend=args.backend)
     learners = {"rpni": lambda train, alphabet: rpni_learn(train),
                 "papni": lambda train, alphabet: papni_learn(train, alphabet, config)[0]}

@@ -64,9 +64,6 @@ class LabeledDataset:
     def positives(self) -> list[LabeledSample]:
         return [s for s in self.samples if s.label]
 
-    def negatives(self) -> list[LabeledSample]:
-        return [s for s in self.samples if not s.label]
-
 
 @dataclass
 class PreprocessReport:

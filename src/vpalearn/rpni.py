@@ -4,9 +4,12 @@ A prefix tree acceptor (PTA) spans every training word; nodes carry a
 tri-state label (accepting / rejecting / unknown). Learning runs a red-blue
 loop over a union-find partition of PTA nodes: confirmed (red) blocks vs.
 frontier (blue) candidates, processed in shortlex order of their access
-strings. A merge unions two blocks and then cascades determinization folds
-with an explicit work queue; it is rejected the moment a block would hold
-both an accepting and a rejecting node.
+strings. Every block is represented by its smallest node id, which is its
+shortlex-least node because ids are shortlex ranks; that order, the EDSM
+tie-break and the emitted state names all read the representative. A merge
+unions two blocks and then cascades determinization folds with an explicit
+work queue; it is rejected the moment a block would hold both an accepting
+and a rejecting node.
 
 Two candidate policies are provided: classic RPNI (first compatible merge
 in shortlex order) and EDSM (highest evidence score, counting same-label
@@ -86,9 +89,9 @@ class MergeState:
     """Union-find partition of PTA nodes with rollbackable trial merges.
 
     Block data (label, outgoing transitions, labeled-node counts) lives at
-    the representative. Representatives are chosen by union-by-size, so find
-    stays cheap without path compression; the shortlex-minimal node id of a
-    block is tracked separately for ordering and tie-breaking.
+    the representative, which is always the block's smallest node id: a
+    union keeps the smaller of the two representatives. find does no path
+    compression, so rollback only has to reset the absorbed parents.
 
     The merger consumes the PTA: it takes over ``pta.children`` and rewrites
     those dicts as blocks merge, so the PTA's transitions are not valid
@@ -96,18 +99,13 @@ class MergeState:
     """
 
     def __init__(self, pta: Pta) -> None:
-        n = pta.size
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.min_id = self.parent[:]
+        self.parent = list(range(pta.size))
         self.label: list[Optional[bool]] = list(pta.label)
         self.children: list[dict[str, int]] = pta.children
         self.acc_n = [1 if l is _ACC else 0 for l in pta.label]
         self.rej_n = [1 if l is _REJ else 0 for l in pta.label]
-        # undo log for the trial in progress: an int n >= 0 is an absorbed
-        # representative, ~m restores min_id m of the block it was folded
-        # into (logged just before that absorption), (rep, sym) is an added
-        # transition
+        # undo log for the trial in progress: an int is an absorbed
+        # representative, (rep, sym) is an added transition
         self._log: list[int | tuple[int, str]] = []
 
     def find(self, x: int) -> int:
@@ -128,7 +126,7 @@ class MergeState:
         returns None on a label conflict.
         """
         # the hot loop of both learners: attributes bound to locals, find inlined
-        parent, size, min_id, label = self.parent, self.size, self.min_id, self.label
+        parent, label = self.parent, self.label
         children, acc_n, rej_n = self.children, self.acc_n, self.rej_n
         log = self._log
         log.clear()
@@ -149,16 +147,12 @@ class MergeState:
                 self.rollback()
                 return None
             score += acc_n[rx] * acc_n[ry] + rej_n[rx] * rej_n[ry]
-            if size[rx] < size[ry]:
+            if ry < rx:
                 rx, ry = ry, rx
                 lx, ly = ly, lx
-            # ry is absorbed into rx
-            if min_id[ry] < min_id[rx]:
-                record(~min_id[rx])
-                min_id[rx] = min_id[ry]
+            # ry is absorbed into rx, the smaller representative
             record(ry)
             parent[ry] = rx
-            size[rx] += size[ry]
             if lx is None:
                 label[rx] = ly
             acc_n[rx] += acc_n[ry]
@@ -179,30 +173,26 @@ class MergeState:
     def rollback(self) -> None:
         # a block is labelled exactly when one of its counts is non-zero, so
         # the counts restore the label; entries are undone newest first
-        parent, size, min_id, label = self.parent, self.size, self.min_id, self.label
+        parent, label = self.parent, self.label
         children, acc_n, rej_n = self.children, self.acc_n, self.rej_n
-        kept = 0
         for entry in reversed(self._log):
             if entry.__class__ is tuple:
                 rep, sym = entry
                 del children[rep][sym]
-            elif entry >= 0:
+            else:
                 kept = parent[entry]
                 parent[entry] = entry
-                size[kept] -= size[entry]
                 acc = acc_n[kept] = acc_n[kept] - acc_n[entry]
                 rej = rej_n[kept] = rej_n[kept] - rej_n[entry]
                 if not acc and not rej:
                     label[kept] = None
-            else:
-                min_id[kept] = ~entry
         self._log.clear()
 
 
 def _blue_frontier(merger: MergeState, red: list[int]) -> list[int]:
     redset = set(red)
     blues = {t for r in red for t in merger.block_transitions(r).values()} - redset
-    return sorted(blues, key=lambda rep: merger.min_id[rep])
+    return sorted(blues)
 
 
 def _emit_dfa(merger: MergeState, alphabet: frozenset[str]) -> Dfa:
@@ -233,33 +223,30 @@ def _emit_dfa(merger: MergeState, alphabet: frozenset[str]) -> Dfa:
                 kept.add(src)
                 useful.append(src)
     kept.add(root)
-    states = frozenset(merger.min_id[rep] for rep in kept)
-    name = {rep: merger.min_id[rep] for rep in kept}
     transitions = {
-        (name[rep], sym): name[dst]
+        (rep, sym): dst
         for rep in kept
         for sym, dst in merger.block_transitions(rep).items()
         if dst in kept
     }
-    accepting = frozenset(name[rep] for rep in kept if merger.label[rep] is _ACC)
-    return Dfa(states, alphabet, transitions, name[merger.find(0)], accepting)
+    accepting = frozenset(rep for rep in kept if merger.label[rep] is _ACC)
+    return Dfa(frozenset(kept), alphabet, transitions, root, accepting)
 
 
 def _learn(dataset: LabeledDataset, use_evidence: bool) -> Dfa:
     pta = build_pta(dataset)
     merger = MergeState(pta)
-    min_id = merger.min_id
-    red: list[int] = [merger.find(0)]
-    # EDSM only: blue min_id -> red min_ids whose merge with it conflicted.
+    red: list[int] = [0]
+    # EDSM only: blue rep -> red reps whose merge with it conflicted.
     # The partition only coarsens, so a merge that conflicted once conflicts
     # in every later round (see the module docstring). An entry goes when its
-    # blue is merged or promoted; one whose block took a smaller min_id from
-    # a fold just stops matching, which costs a repeated trial, never a model.
+    # blue is merged or promoted; one whose block a fold gave a smaller node
+    # just stops matching, which costs a repeated trial, never a model.
     rejected: dict[int, set[int]] = {}
     while True:
-        # a fold can move a red block's representative and min_id to a node
-        # it absorbed, so re-resolve and re-sort the reds every round
-        red = sorted({merger.find(r) for r in red}, key=lambda rep: min_id[rep])
+        # a fold can bring a smaller node into a red block and so move its
+        # representative, so re-resolve and re-sort the reds every round
+        red = sorted({merger.find(r) for r in red})
         blues = _blue_frontier(merger, red)
         if not blues:
             break
@@ -277,33 +264,31 @@ def _learn(dataset: LabeledDataset, use_evidence: bool) -> Dfa:
             best: Optional[tuple[int, int, int]] = None
             orphan: Optional[int] = None
             for blue in blues:
-                blue_id = min_id[blue]
-                known = rejected.get(blue_id, ())
+                known = rejected.get(blue, ())
                 compatible = False
                 for r in red:
-                    red_id = min_id[r]
-                    if red_id in known:
+                    if r in known:
                         continue
                     score = merger.trial_merge(r, blue)
                     if score is None:
-                        rejected.setdefault(blue_id, set()).add(red_id)
+                        rejected.setdefault(blue, set()).add(r)
                         continue
                     merger.rollback()
                     compatible = True
-                    key = (-score, red_id, blue_id)
+                    key = (-score, r, blue)
                     if best is None or key < best:
                         best = key
                 if not compatible:
                     orphan = blue
                     break
             if orphan is not None:
-                rejected.pop(min_id[orphan], None)
+                rejected.pop(orphan, None)
                 red.append(orphan)
             else:
                 assert best is not None
-                _, red_id, blue_id = best
-                rejected.pop(blue_id, None)
-                if merger.trial_merge(red_id, blue_id) is None:
+                _, r, blue = best
+                rejected.pop(blue, None)
+                if merger.trial_merge(r, blue) is None:
                     raise AssertionError("previously compatible merge failed on replay")
                 merger.commit()
     return _emit_dfa(merger, pta.alphabet)

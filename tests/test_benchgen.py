@@ -67,10 +67,9 @@ class TestBuiltins:
 
     def test_ground_truth_needs_symbols(self):
         # uniform sampling draws from the alphabet, so it must not be empty
-        alphabet = VpaAlphabet()
-        vdpa = Vdpa(frozenset({"s0"}), alphabet, {}, {}, {}, "s0", frozenset({"s0"}))
+        vdpa = Vdpa(frozenset({"s0"}), VpaAlphabet(), {}, {}, {}, "s0", frozenset({"s0"}))
         with pytest.raises(ValueError):
-            GroundTruth("empty", vdpa, alphabet)
+            GroundTruth("empty", vdpa)
 
     def test_anbn_language(self):
         gt = builtin("anbn")

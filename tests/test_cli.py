@@ -154,6 +154,21 @@ class TestLearn:
         assert code == EXIT_INPUT
         assert "cannot write model" in capsys.readouterr().err
 
+    def test_dfa_mode_reports_no_filtering(self, tmp_path, capsys):
+        # two of the four words are not well-matched: only the pipeline drops them
+        data = tmp_path / "d.txt"
+        data.write_text("+ ( )\n- ( ) )\n+ ( ( ) )\n- (\n")
+        alpha = tmp_path / "a.txt"
+        alpha.write_text(PAREN_ALPHABET)
+        out = tmp_path / "m.aut"
+        assert main(["learn", str(data), str(alpha), "--mode", "dfa", "--out", str(out)]) == EXIT_OK
+        assert "kept:" not in capsys.readouterr().out
+        assert "dropped_negative" not in out.with_suffix(".aut.manifest").read_text()
+        assert main(["learn", str(data), str(alpha), "--out", str(out)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "kept: 2" in stdout and "dropped_negative: 2" in stdout
+        assert "dropped_negative: 2" in out.with_suffix(".aut.manifest").read_text()
+
 
 class TestGenerate:
     def test_writes_dataset_and_manifest(self, tmp_path, capsys):
@@ -353,6 +368,15 @@ class TestBenchmark:
         assert generated == []
 
     def test_directory_as_output(self, tmp_path, capsys):
+        code = main(["benchmark", "--grammars", "dyck1", "--repeats", "1",
+                     "--total", "100", "--mode", "balanced", "--out", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert "cannot write report" in capsys.readouterr().err
+
+    def test_unwritable_output_before_any_generation(self, tmp_path, monkeypatch, capsys):
+        def fail(gt, cfg):
+            pytest.fail("generated data before checking --out")
+        monkeypatch.setattr(benchgen, "generate_dataset", fail)
         code = main(["benchmark", "--grammars", "dyck1", "--repeats", "1",
                      "--total", "100", "--mode", "balanced", "--out", str(tmp_path)])
         assert code == EXIT_INPUT

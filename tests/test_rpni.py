@@ -76,15 +76,13 @@ class TestMergeState:
         pta = build_pta(table1_dataset)
         merger = MergeState(pta)
         snapshot = (
-            list(merger.parent), list(merger.size), list(merger.min_id),
-            list(merger.label), [dict(c) for c in merger.children],
+            list(merger.parent), list(merger.label), [dict(c) for c in merger.children],
             list(merger.acc_n), list(merger.rej_n),
         )
         for blue in _blue_frontier(merger, [0]):
             if merger.trial_merge(0, blue) is not None:
                 merger.rollback()
-            assert (list(merger.parent), list(merger.size), list(merger.min_id),
-                    list(merger.label), [dict(c) for c in merger.children],
+            assert (list(merger.parent), list(merger.label), [dict(c) for c in merger.children],
                     list(merger.acc_n), list(merger.rej_n)) == snapshot
 
     def test_conflicting_merge_returns_none(self):
@@ -219,11 +217,10 @@ def test_rejected_merges_stay_rejected(dataset):
     still conflict, and no two red blocks may share a block; the run must end
     at the model edsm_learn learns with the cache."""
     merger = MergeState(build_pta(dataset))
-    min_id = merger.min_id
     red_ids = [0]  # PTA node ids, one per red block
     rejected: list[tuple[int, int]] = []
     while True:
-        red = sorted((merger.find(r) for r in red_ids), key=lambda rep: min_id[rep])
+        red = sorted(merger.find(r) for r in red_ids)
         blues = _blue_frontier(merger, red)
         if not blues:
             break
@@ -233,17 +230,17 @@ def test_rejected_merges_stay_rejected(dataset):
             for r in red:
                 score = merger.trial_merge(r, blue)
                 if score is None:
-                    rejected.append((min_id[r], min_id[blue]))
+                    rejected.append((r, blue))
                     continue
                 merger.rollback()
                 compatible = True
-                key = (-score, min_id[r], min_id[blue])
+                key = (-score, r, blue)
                 if best is None or key < best:
                     best = key
             if not compatible and orphan is None:
                 orphan = blue
         if orphan is not None:
-            red_ids.append(min_id[orphan])
+            red_ids.append(orphan)
             continue
         _, red_id, blue_id = best
         assert merger.trial_merge(red_id, blue_id) is not None
@@ -281,7 +278,7 @@ def test_pta_ids_are_shortlex_ranks(samples):
 
 
 def _merger_state(merger):
-    return (list(merger.parent), list(merger.size), list(merger.min_id), list(merger.label),
+    return (list(merger.parent), list(merger.label),
             [list(c.items()) for c in merger.children], list(merger.acc_n), list(merger.rej_n))
 
 
@@ -301,3 +298,31 @@ def test_rollback_restores_everything_after_commits(dataset, data):
         if merger.trial_merge(data.draw(node), data.draw(node)) is not None:
             merger.rollback()
         assert _merger_state(merger) == before
+
+
+def _assert_least_node_is_representative(merger):
+    least: dict[int, int] = {}
+    for x in range(len(merger.parent)):
+        rep = merger.find(x)
+        assert rep <= x
+        least.setdefault(rep, x)
+    assert all(rep == x for rep, x in least.items())
+
+
+@given(_small_datasets, st.data())
+@settings(max_examples=200, deadline=None)
+def test_representative_is_the_least_node_of_its_block(dataset, data):
+    """Through committed merges, a trial merge and its rollback, every block
+    is represented by its smallest node id, its shortlex-least access string,
+    which the blue order, the EDSM tie-break and the emitted names rely on."""
+    merger = MergeState(build_pta(dataset))
+    node = st.integers(0, len(merger.parent) - 1)
+    _assert_least_node_is_representative(merger)
+    for _ in range(data.draw(st.integers(0, 4))):
+        if merger.trial_merge(data.draw(node), data.draw(node)) is not None:
+            merger.commit()
+        _assert_least_node_is_representative(merger)
+    if merger.trial_merge(data.draw(node), data.draw(node)) is not None:
+        _assert_least_node_is_representative(merger)
+        merger.rollback()
+    _assert_least_node_is_representative(merger)
