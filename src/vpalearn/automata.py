@@ -84,15 +84,6 @@ class VpaAlphabet:
     def symbols(self) -> frozenset[str]:
         return self.internal | self.call | self.ret
 
-    def kind(self, sym: str) -> str:
-        if sym in self.internal:
-            return "internal"
-        if sym in self.call:
-            return "call"
-        if sym in self.ret:
-            return "return"
-        raise AlphabetError(f"symbol {sym!r} not in alphabet")
-
     def stack_aware_symbols(self) -> frozenset[str]:
         """Every representable symbol of the extended alphabet."""
         pairs = {make_return_pair(r, c) for r in self.ret for c in self.call}
@@ -138,11 +129,11 @@ class Reason(enum.Enum):
 
 @dataclass(frozen=True)
 class VdpaVerdict:
-    accepted: bool
     reason: Reason
 
-    def __post_init__(self) -> None:
-        assert self.accepted == (self.reason is Reason.ACCEPTED)
+    @property
+    def accepted(self) -> bool:
+        return self.reason is Reason.ACCEPTED
 
 
 @dataclass(frozen=True)
@@ -210,31 +201,32 @@ def dfa_accepts(dfa: Dfa, word: Word) -> bool:
 
 def vdpa_accepts(vdpa: Vdpa, word: Word) -> VdpaVerdict:
     """Simulate the word with an explicit stack of call symbols."""
-    alpha = vdpa.alphabet
+    internal, call, ret = vdpa.alphabet.internal, vdpa.alphabet.call, vdpa.alphabet.ret
     state = vdpa.initial
     stack: list[str] = []
     for sym in word:
-        kind = alpha.kind(sym)  # raises AlphabetError for foreign symbols
-        if kind == "internal":
+        if sym in internal:
             nxt = vdpa.internal_trans.get((state, sym))
-        elif kind == "call":
+        elif sym in call:
             nxt = vdpa.call_trans.get((state, sym))
             if nxt is not None:
                 stack.append(sym)
-        else:
+        elif sym in ret:
             if not stack:
-                return VdpaVerdict(False, Reason.POP_FROM_EMPTY_STACK)
+                return VdpaVerdict(Reason.POP_FROM_EMPTY_STACK)
             nxt = vdpa.return_trans.get((state, sym, stack[-1]))
             if nxt is not None:
                 stack.pop()
+        else:
+            raise AlphabetError(f"symbol {sym!r} not in alphabet")
         if nxt is None:
-            return VdpaVerdict(False, Reason.UNDEFINED_TRANSITION)
+            return VdpaVerdict(Reason.UNDEFINED_TRANSITION)
         state = nxt
     if stack:
-        return VdpaVerdict(False, Reason.NON_EMPTY_STACK_AT_END)
+        return VdpaVerdict(Reason.NON_EMPTY_STACK_AT_END)
     if state in vdpa.accepting:
-        return VdpaVerdict(True, Reason.ACCEPTED)
-    return VdpaVerdict(False, Reason.REJECTED_AT_STATE)
+        return VdpaVerdict(Reason.ACCEPTED)
+    return VdpaVerdict(Reason.REJECTED_AT_STATE)
 
 
 def classify(model: Automaton, word: Word) -> bool:
@@ -256,22 +248,15 @@ def model_symbols(model: Automaton) -> frozenset[str]:
     return model.alphabet.symbols
 
 
-def _counter_delta(alpha: Optional[VpaAlphabet], sym: str) -> int:
-    if alpha is None:
-        return 0
-    if sym in alpha.call:
-        return 1
-    if sym in alpha.ret:
-        return -1
-    return 0
-
-
 def _enumerate_words(symbols: Sequence[str], max_len: int,
                      alpha: Optional[VpaAlphabet]) -> Iterator[tuple[str, ...]]:
     """Shortlex enumeration. With a VPA alphabet, prune to words that can
     still extend to a well-matched word (counter never negative, never larger
     than the remaining length)."""
     order = sorted(symbols)
+    # counter change per symbol: a call raises it, a return lowers it
+    delta = {sym: 0 if alpha is None else (sym in alpha.call) - (sym in alpha.ret)
+             for sym in order}
     for length in range(max_len + 1):
         # depth-first in lexicographic order at fixed length
         def extend(prefix: tuple[str, ...], counter: int) -> Iterator[tuple[str, ...]]:
@@ -281,7 +266,7 @@ def _enumerate_words(symbols: Sequence[str], max_len: int,
                 return
             remaining = length - len(prefix)
             for sym in order:
-                c = counter + _counter_delta(alpha, sym)
+                c = counter + delta[sym]
                 if alpha is not None and (c < 0 or c > remaining - 1):
                     continue
                 yield from extend(prefix + (sym,), c)
@@ -350,9 +335,9 @@ def render_dot(model: Automaton) -> str:
     names = canonical_names(model)
     lines = ["digraph automaton {", "  rankdir=LR;",
              '  __start [shape=none, label=""];']
-    for state in canonical_state_order(model):
+    for state, name in names.items():
         shape = "doublecircle" if state in model.accepting else "circle"
-        lines.append(f'  {names[state]} [shape={shape}, label="{names[state]}"];')
+        lines.append(f'  {name} [shape={shape}, label="{name}"];')
     lines.append(f"  __start -> {names[model.initial]};")
     edges: list[tuple[str, str, str]] = []
     if isinstance(model, Dfa):

@@ -17,6 +17,7 @@ and seeds produce identical output bytes.
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 import time
@@ -213,8 +214,12 @@ def cmd_benchmark(args) -> int:
         raise _CliError(EXIT_INPUT, "no grammar names given")
     if args.out:
         # appending nothing finds an unwritable report path before the
-        # comparison runs, and leaves an existing report as it is
+        # comparison runs and leaves an existing report as it is; a file the
+        # probe created goes again, so a failed run leaves no empty report
+        existed = os.path.lexists(args.out)
         _write(args.out, "", "report", mode="a")
+        if not existed:
+            os.remove(args.out)
     config = PapniConfig(backend=args.backend)
     learners = {"rpni": lambda train, alphabet: rpni_learn(train),
                 "papni": lambda train, alphabet: papni_learn(train, alphabet, config)[0]}

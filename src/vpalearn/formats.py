@@ -30,7 +30,6 @@ from .automata import (
     Vdpa,
     VpaAlphabet,
     canonical_names,
-    canonical_state_order,
     validate_symbol,
 )
 from .preprocess import LabeledDataset, LabeledSample
@@ -53,7 +52,6 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def dump_automaton(model: Automaton) -> str:
     names = canonical_names(model)
-    order = canonical_state_order(model)
     out = io.StringIO()
     if isinstance(model, Dfa):
         out.write("dfa\n")
@@ -64,7 +62,7 @@ def dump_automaton(model: Automaton) -> str:
         out.write("# call: " + " ".join(sorted(model.alphabet.call)) + "\n")
         out.write("# return: " + " ".join(sorted(model.alphabet.ret)) + "\n")
     out.write(f"initial: {names[model.initial]}\n")
-    out.write("accepting: " + " ".join(names[s] for s in order if s in model.accepting) + "\n")
+    out.write("accepting: " + " ".join(n for s, n in names.items() if s in model.accepting) + "\n")
     rows: list[str] = []
     if isinstance(model, Dfa):
         for (src, sym), dst in model.transitions.items():

@@ -88,7 +88,7 @@ def build_pta(dataset: LabeledDataset) -> Pta:
 class MergeState:
     """Union-find partition of PTA nodes with rollbackable trial merges.
 
-    Block data (label, outgoing transitions, labeled-node counts) lives at
+    Block data (outgoing transitions, labeled-node counts) lives at
     the representative, which is always the block's smallest node id: a
     union keeps the smaller of the two representatives. find does no path
     compression, so rollback only has to reset the absorbed parents.
@@ -100,8 +100,9 @@ class MergeState:
 
     def __init__(self, pta: Pta) -> None:
         self.parent = list(range(pta.size))
-        self.label: list[Optional[bool]] = list(pta.label)
         self.children: list[dict[str, int]] = pta.children
+        # a block is accepting when it holds an accepting node, rejecting
+        # when it holds a rejecting node, and never both
         self.acc_n = [1 if l is _ACC else 0 for l in pta.label]
         self.rej_n = [1 if l is _REJ else 0 for l in pta.label]
         # undo log for the trial in progress: an int is an absorbed
@@ -126,8 +127,7 @@ class MergeState:
         returns None on a label conflict.
         """
         # the hot loop of both learners: attributes bound to locals, find inlined
-        parent, label = self.parent, self.label
-        children, acc_n, rej_n = self.children, self.acc_n, self.rej_n
+        parent, children, acc_n, rej_n = self.parent, self.children, self.acc_n, self.rej_n
         log = self._log
         log.clear()
         record = log.append
@@ -142,21 +142,18 @@ class MergeState:
                 ry = parent[ry]
             if rx == ry:
                 continue
-            lx, ly = label[rx], label[ry]
-            if lx is not None and ly is not None and lx != ly:
-                self.rollback()
-                return None
-            score += acc_n[rx] * acc_n[ry] + rej_n[rx] * rej_n[ry]
             if ry < rx:
                 rx, ry = ry, rx
-                lx, ly = ly, lx
+            ax, rjx, ay, rjy = acc_n[rx], rej_n[rx], acc_n[ry], rej_n[ry]
+            if ax and rjy or rjx and ay:
+                self.rollback()
+                return None
+            score += ax * ay + rjx * rjy
             # ry is absorbed into rx, the smaller representative
             record(ry)
             parent[ry] = rx
-            if lx is None:
-                label[rx] = ly
-            acc_n[rx] += acc_n[ry]
-            rej_n[rx] += rej_n[ry]
+            acc_n[rx] = ax + ay
+            rej_n[rx] = rjx + rjy
             kids_x = children[rx]
             for sym, dst in children[ry].items():
                 old = kids_x.get(sym)
@@ -171,10 +168,7 @@ class MergeState:
         self._log.clear()
 
     def rollback(self) -> None:
-        # a block is labelled exactly when one of its counts is non-zero, so
-        # the counts restore the label; entries are undone newest first
-        parent, label = self.parent, self.label
-        children, acc_n, rej_n = self.children, self.acc_n, self.rej_n
+        parent, children, acc_n, rej_n = self.parent, self.children, self.acc_n, self.rej_n
         for entry in reversed(self._log):
             if entry.__class__ is tuple:
                 rep, sym = entry
@@ -182,10 +176,8 @@ class MergeState:
             else:
                 kept = parent[entry]
                 parent[entry] = entry
-                acc = acc_n[kept] = acc_n[kept] - acc_n[entry]
-                rej = rej_n[kept] = rej_n[kept] - rej_n[entry]
-                if not acc and not rej:
-                    label[kept] = None
+                acc_n[kept] -= acc_n[entry]
+                rej_n[kept] -= rej_n[entry]
         self._log.clear()
 
 
@@ -197,24 +189,22 @@ def _blue_frontier(merger: MergeState, red: list[int]) -> list[int]:
 
 def _emit_dfa(merger: MergeState, alphabet: frozenset[str]) -> Dfa:
     root = merger.find(0)
-    # blocks reachable from the root
-    reachable: list[int] = []
-    seen = {root}
+    # blocks reachable from the root, each with its transitions resolved once
+    trans = {root: merger.block_transitions(root)}
     queue = deque([root])
     while queue:
-        rep = queue.popleft()
-        reachable.append(rep)
-        for dst in merger.block_transitions(rep).values():
-            if dst not in seen:
-                seen.add(dst)
+        for dst in trans[queue.popleft()].values():
+            if dst not in trans:
+                trans[dst] = merger.block_transitions(dst)
                 queue.append(dst)
     # prune blocks whose entire reachable closure is unlabeled: reverse BFS
     # from labeled blocks marks everything worth keeping
-    reverse: dict[int, set[int]] = {rep: set() for rep in reachable}
-    for rep in reachable:
-        for dst in merger.block_transitions(rep).values():
+    reverse: dict[int, set[int]] = {rep: set() for rep in trans}
+    for rep, kids in trans.items():
+        for dst in kids.values():
             reverse[dst].add(rep)
-    useful = deque(rep for rep in reachable if merger.label[rep] is not None)
+    acc_n, rej_n = merger.acc_n, merger.rej_n
+    useful = deque(rep for rep in trans if acc_n[rep] or rej_n[rep])
     kept = set(useful)
     while useful:
         rep = useful.popleft()
@@ -226,10 +216,10 @@ def _emit_dfa(merger: MergeState, alphabet: frozenset[str]) -> Dfa:
     transitions = {
         (rep, sym): dst
         for rep in kept
-        for sym, dst in merger.block_transitions(rep).items()
+        for sym, dst in trans[rep].items()
         if dst in kept
     }
-    accepting = frozenset(rep for rep in kept if merger.label[rep] is _ACC)
+    accepting = frozenset(rep for rep in kept if acc_n[rep])
     return Dfa(frozenset(kept), alphabet, transitions, root, accepting)
 
 

@@ -4,10 +4,11 @@ automata, and independent oracles used to cross-check implementations."""
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
 
-from vpalearn import Dfa, LabeledDataset, LabeledSample, VpaAlphabet, builtin
+from vpalearn import Dfa, LabeledDataset, LabeledSample, Vdpa, VpaAlphabet, builtin
 
 # the balanced-parentheses learning example: 10 labeled words plus the
 # empty word; 5 of the 10 non-empty words are not well-matched
@@ -94,6 +95,39 @@ def oracle_well_matched(word, alphabet: VpaAlphabet) -> bool:
                 return False
             stack.pop()
     return not stack
+
+
+def oracle_vdpa_reason(vdpa: Vdpa, word) -> Optional[str]:
+    """Run over one move table keyed by (state, symbol, popped top or None);
+    returns the verdict's ``Reason`` value, or None when the run reaches a
+    symbol outside the alphabet before it ends."""
+    moves = {}
+    for (src, sym), dst in vdpa.internal_trans.items():
+        moves[src, sym, None] = (dst, None)
+    for (src, sym), dst in vdpa.call_trans.items():
+        moves[src, sym, None] = (dst, sym)
+    for (src, sym, top), dst in vdpa.return_trans.items():
+        moves[src, sym, top] = (dst, None)
+    state, stack = vdpa.initial, []
+    for sym in word:
+        if sym in vdpa.alphabet.ret:
+            if not stack:
+                return "PopFromEmptyStack"
+            key = (state, sym, stack[-1])
+        elif sym in vdpa.alphabet.call or sym in vdpa.alphabet.internal:
+            key = (state, sym, None)
+        else:
+            return None
+        if key not in moves:
+            return "UndefinedTransition"
+        state, pushed = moves[key]
+        if pushed is not None:
+            stack.append(pushed)
+        elif key[2] is not None:
+            stack.pop()
+    if stack:
+        return "NonEmptyStackAtEnd"
+    return "Accepted" if state in vdpa.accepting else "RejectedAtState"
 
 
 def oracle_dfa_walk(dfa: Dfa, word) -> bool:

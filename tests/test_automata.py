@@ -22,7 +22,7 @@ from vpalearn import (
 )
 from vpalearn.automata import canonical_names
 
-from conftest import as_dataset, oracle_dfa_walk, oracle_well_matched
+from conftest import as_dataset, oracle_dfa_walk, oracle_vdpa_reason, oracle_well_matched
 
 
 def W(text: str) -> tuple:
@@ -145,6 +145,33 @@ class TestVdpaAccepts:
         word = data.draw(words.filter(lambda w: not oracle_well_matched(w, gt.alphabet)))
         for model in models:
             assert not vdpa_accepts(model, word).accepted
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_reason_matches_an_independent_walk(self, name, data):
+        # every Reason, and the step at which a foreign symbol raises: a run
+        # that stops earlier (empty pop, missing move) returns its verdict
+        gt = builtin(name)
+        own = st.lists(st.sampled_from(sorted(gt.alphabet.symbols)), max_size=10).map(tuple)
+        train = data.draw(st.dictionaries(own, st.booleans(), min_size=1, max_size=12))
+        models = [gt.vdpa]
+        try:
+            models.append(papni_learn(as_dataset(sorted(train.items())), gt.alphabet)[0])
+        except NoWellMatchedSamplesError:
+            pass
+        words = st.lists(st.sampled_from(sorted(gt.alphabet.symbols) + ["foreign"]),
+                         max_size=10).map(tuple)
+        for word in data.draw(st.lists(words, min_size=1, max_size=8)):
+            for model in models:
+                expected = oracle_vdpa_reason(model, word)
+                if expected is None:
+                    with pytest.raises(AlphabetError):
+                        vdpa_accepts(model, word)
+                    continue
+                verdict = vdpa_accepts(model, word)
+                assert verdict.reason is Reason(expected), word
+                assert verdict.accepted is (expected == "Accepted")
 
 
 class TestBoundedEquivalence:

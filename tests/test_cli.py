@@ -382,6 +382,17 @@ class TestBenchmark:
         assert code == EXIT_INPUT
         assert "cannot write report" in capsys.readouterr().err
 
+    def test_failed_run_leaves_reports_as_they_were(self, tmp_path, capsys):
+        # two samples cannot be split, so generation fails after the --out probe
+        argv = ["benchmark", "--grammars", "dyck1", "--total", "2", "--repeats", "1", "--out"]
+        new = tmp_path / "new.txt"
+        assert main(argv + [str(new)]) == EXIT_GENERATION
+        assert not new.exists()
+        old = tmp_path / "old.txt"
+        old.write_bytes(b"grammar: dyck1\nmean_f1: 0.5")
+        assert main(argv + [str(old)]) == EXIT_GENERATION
+        assert old.read_bytes() == b"grammar: dyck1\nmean_f1: 0.5"
+
     def test_seed_schedule_is_pinned(self, tmp_path):
         # repeat r runs on data drawn at seed + r, as acceptance criterion 3 does
         out = tmp_path / "f"

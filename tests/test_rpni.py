@@ -76,13 +76,13 @@ class TestMergeState:
         pta = build_pta(table1_dataset)
         merger = MergeState(pta)
         snapshot = (
-            list(merger.parent), list(merger.label), [dict(c) for c in merger.children],
+            list(merger.parent), [dict(c) for c in merger.children],
             list(merger.acc_n), list(merger.rej_n),
         )
         for blue in _blue_frontier(merger, [0]):
             if merger.trial_merge(0, blue) is not None:
                 merger.rollback()
-            assert (list(merger.parent), list(merger.label), [dict(c) for c in merger.children],
+            assert (list(merger.parent), [dict(c) for c in merger.children],
                     list(merger.acc_n), list(merger.rej_n)) == snapshot
 
     def test_conflicting_merge_returns_none(self):
@@ -278,7 +278,7 @@ def test_pta_ids_are_shortlex_ranks(samples):
 
 
 def _merger_state(merger):
-    return (list(merger.parent), list(merger.label),
+    return (list(merger.parent),
             [list(c.items()) for c in merger.children], list(merger.acc_n), list(merger.rej_n))
 
 
@@ -326,3 +326,37 @@ def test_representative_is_the_least_node_of_its_block(dataset, data):
         _assert_least_node_is_representative(merger)
         merger.rollback()
     _assert_least_node_is_representative(merger)
+
+
+def _assert_counts_follow_labels(merger, pta_label):
+    acc: dict[int, int] = {}
+    rej: dict[int, int] = {}
+    for x, l in enumerate(pta_label):
+        rep = merger.find(x)
+        acc[rep] = acc.get(rep, 0) + (l is True)
+        rej[rep] = rej.get(rep, 0) + (l is False)
+    for rep in acc:
+        assert (merger.acc_n[rep], merger.rej_n[rep]) == (acc[rep], rej[rep])
+        assert not (acc[rep] and rej[rep])
+
+
+@given(_small_datasets, st.data())
+@settings(max_examples=200, deadline=None)
+def test_block_counts_follow_the_node_labels(dataset, data):
+    """Through committed merges, a trial merge and its rollback, each block's
+    accepting and rejecting counts are the numbers of accepting and rejecting
+    PTA nodes in it, and no block holds both: the counts alone say whether a
+    block accepts, rejects or is unlabelled."""
+    pta = build_pta(dataset)
+    pta_label = list(pta.label)
+    merger = MergeState(pta)
+    node = st.integers(0, len(merger.parent) - 1)
+    _assert_counts_follow_labels(merger, pta_label)
+    for _ in range(data.draw(st.integers(0, 4))):
+        if merger.trial_merge(data.draw(node), data.draw(node)) is not None:
+            merger.commit()
+        _assert_counts_follow_labels(merger, pta_label)
+    if merger.trial_merge(data.draw(node), data.draw(node)) is not None:
+        _assert_counts_follow_labels(merger, pta_label)
+        merger.rollback()
+    _assert_counts_follow_labels(merger, pta_label)
