@@ -7,7 +7,6 @@ from .automata import (
     Dfa,
     Reason,
     Vdpa,
-    VdpaVerdict,
     VpaAlphabet,
     bounded_equivalence,
     classify,

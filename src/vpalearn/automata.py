@@ -16,8 +16,8 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Hashable, Iterator, Optional, Sequence, Union
 
 State = Hashable
 Word = Sequence[str]
@@ -126,14 +126,9 @@ class Reason(enum.Enum):
     NON_EMPTY_STACK_AT_END = "NonEmptyStackAtEnd"
     UNDEFINED_TRANSITION = "UndefinedTransition"
 
-
-@dataclass(frozen=True)
-class VdpaVerdict:
-    reason: Reason
-
     @property
     def accepted(self) -> bool:
-        return self.reason is Reason.ACCEPTED
+        return self is Reason.ACCEPTED
 
 
 @dataclass(frozen=True)
@@ -199,8 +194,9 @@ def dfa_accepts(dfa: Dfa, word: Word) -> bool:
     return state in dfa.accepting
 
 
-def vdpa_accepts(vdpa: Vdpa, word: Word) -> VdpaVerdict:
-    """Simulate the word with an explicit stack of call symbols."""
+def vdpa_accepts(vdpa: Vdpa, word: Word) -> Reason:
+    """Simulate the word with an explicit stack of call symbols; an
+    undefined transition ends the run, so the stack may change before it."""
     internal, call, ret = vdpa.alphabet.internal, vdpa.alphabet.call, vdpa.alphabet.ret
     state = vdpa.initial
     stack: list[str] = []
@@ -209,24 +205,19 @@ def vdpa_accepts(vdpa: Vdpa, word: Word) -> VdpaVerdict:
             nxt = vdpa.internal_trans.get((state, sym))
         elif sym in call:
             nxt = vdpa.call_trans.get((state, sym))
-            if nxt is not None:
-                stack.append(sym)
+            stack.append(sym)
         elif sym in ret:
             if not stack:
-                return VdpaVerdict(Reason.POP_FROM_EMPTY_STACK)
-            nxt = vdpa.return_trans.get((state, sym, stack[-1]))
-            if nxt is not None:
-                stack.pop()
+                return Reason.POP_FROM_EMPTY_STACK
+            nxt = vdpa.return_trans.get((state, sym, stack.pop()))
         else:
             raise AlphabetError(f"symbol {sym!r} not in alphabet")
         if nxt is None:
-            return VdpaVerdict(Reason.UNDEFINED_TRANSITION)
+            return Reason.UNDEFINED_TRANSITION
         state = nxt
     if stack:
-        return VdpaVerdict(Reason.NON_EMPTY_STACK_AT_END)
-    if state in vdpa.accepting:
-        return VdpaVerdict(Reason.ACCEPTED)
-    return VdpaVerdict(Reason.REJECTED_AT_STATE)
+        return Reason.NON_EMPTY_STACK_AT_END
+    return Reason.ACCEPTED if state in vdpa.accepting else Reason.REJECTED_AT_STATE
 
 
 def classify(model: Automaton, word: Word) -> bool:
@@ -296,9 +287,9 @@ def bounded_equivalence(a: Automaton, b: Automaton, max_len: int,
     return None
 
 
-def canonical_state_order(model: Automaton) -> list[State]:
-    """States in BFS order from the initial state, edges taken in sorted
-    symbol order; unreachable states follow, sorted by repr."""
+def canonical_names(model: Automaton) -> dict[State, str]:
+    """Names ``s0``, ``s1``, ... in BFS order from the initial state, edges
+    taken in sorted symbol order; unreachable states follow, sorted by repr."""
     if isinstance(model, Dfa):
         edges: dict[State, list[tuple[str, State]]] = {s: [] for s in model.states}
         for (src, sym), dst in model.transitions.items():
@@ -322,11 +313,7 @@ def canonical_state_order(model: Automaton) -> list[State]:
                 seen.add(dst)
                 queue.append(dst)
     order.extend(sorted((s for s in model.states if s not in seen), key=repr))
-    return order
-
-
-def canonical_names(model: Automaton) -> dict[State, str]:
-    return {state: f"s{i}" for i, state in enumerate(canonical_state_order(model))}
+    return {state: f"s{i}" for i, state in enumerate(order)}
 
 
 def render_dot(model: Automaton) -> str:

@@ -53,10 +53,10 @@ def _manifest(entries: list[tuple[str, object]], out_path: Optional[Path]) -> No
         _write(out_path, text, "manifest")
 
 
-def _load(loader, path: str, what: str):
-    """Read a file with a ``formats`` loader; every failure becomes an exit code."""
+def _load(parse, path: str, what: str):
+    """Read a file, parse it with a ``formats`` parser; every failure becomes an exit code."""
     try:
-        return loader(path)
+        return parse(Path(path).read_text())
     except OSError as exc:
         raise _CliError(EXIT_INPUT, f"cannot read {what} {path!r}: {exc.strerror}")
     except UnicodeDecodeError:
@@ -77,7 +77,7 @@ def _write(path: str | Path, text: str, what: str, mode: str = "w") -> None:
 
 
 def _load_dataset(path: str):
-    dataset = _load(formats.load_dataset, path, "dataset")
+    dataset = _load(formats.parse_dataset, path, "dataset")
     if not dataset.samples:
         raise _CliError(EXIT_INPUT, f"dataset {path!r} is empty")
     return dataset
@@ -89,7 +89,7 @@ def _ground_truth(args) -> GroundTruth:
             return builtin(args.grammar)
         except KeyError as exc:
             raise _CliError(EXIT_INPUT, str(exc))
-    model = _load(formats.load_automaton, args.automaton, "automaton")
+    model = _load(formats.parse_automaton, args.automaton, "automaton")
     if not isinstance(model, Vdpa):
         raise _CliError(EXIT_INPUT, "ground-truth automaton must be a vdpa")
     try:
@@ -100,7 +100,7 @@ def _ground_truth(args) -> GroundTruth:
 
 def cmd_learn(args) -> int:
     dataset = _load_dataset(args.dataset)
-    alphabet = _load(formats.load_alphabet, args.alphabet, "alphabet")
+    alphabet = _load(formats.parse_alphabet, args.alphabet, "alphabet")
     for sym in dataset.symbols():
         if sym not in alphabet.symbols:
             raise _CliError(EXIT_INPUT, f"dataset symbol {sym!r} not in alphabet")
@@ -167,7 +167,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load(formats.load_automaton, args.model, "model")
+    model = _load(formats.parse_automaton, args.model, "model")
     dataset = _load_dataset(args.dataset)
     metrics = benchgen.evaluate(model, dataset)
     entries = [
@@ -185,8 +185,8 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     from .preprocess import is_well_matched
 
-    dataset = _load(formats.load_dataset, args.dataset, "dataset")
-    alphabet = _load(formats.load_alphabet, args.alphabet, "alphabet")
+    dataset = _load(formats.parse_dataset, args.dataset, "dataset")
+    alphabet = _load(formats.parse_alphabet, args.alphabet, "alphabet")
     matched = unmatched = 0
     for sample in dataset:
         try:
@@ -262,7 +262,7 @@ def cmd_benchmark(args) -> int:
 def cmd_convert(args) -> int:
     if args.to != "dot":
         raise _CliError(EXIT_INPUT, f"unknown target format {args.to!r}")
-    model = _load(formats.load_automaton, args.model, "model")
+    model = _load(formats.parse_automaton, args.model, "model")
     dot = render_dot(model)
     if args.out:
         _write(args.out, dot, "DOT file")
@@ -344,10 +344,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader went away; the exit-time flush then finds nowhere to write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write standard output: broken pipe", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -15,13 +15,12 @@ without transitions survive a round trip.
 
 Dataset format: one sample per line, ``+``/``-`` then the word's tokens.
 Alphabet format: three lines ``internal:``, ``call:``, ``return:``.
+Only text goes in and out here; callers read and write the files.
 """
 
 from __future__ import annotations
 
 import io
-from pathlib import Path
-from typing import Union
 
 from .automata import (
     AlphabetError,
@@ -34,11 +33,18 @@ from .automata import (
 )
 from .preprocess import LabeledDataset, LabeledSample
 
-PathLike = Union[str, Path]
-
 
 class FormatError(ValueError):
     """Malformed input file."""
+
+
+def _check_symbols(symbols) -> None:
+    """Raise FormatError for a token that would not parse back as itself."""
+    for sym in sorted(symbols):
+        try:
+            validate_symbol(sym)
+        except AlphabetError as exc:
+            raise FormatError(str(exc)) from exc
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -51,9 +57,11 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def dump_automaton(model: Automaton) -> str:
+    """Raises FormatError for a DFA symbol that would not parse back as itself."""
     names = canonical_names(model)
     out = io.StringIO()
     if isinstance(model, Dfa):
+        _check_symbols(model.alphabet)
         out.write("dfa\n")
         out.write("# alphabet: " + " ".join(sorted(model.alphabet)) + "\n")
     else:
@@ -136,14 +144,15 @@ def parse_automaton(text: str) -> Automaton:
             raise FormatError(f"line {lineno}: unrecognized transition {line!r}")
         if key in table and table[key] != dst:
             raise FormatError(f"line {lineno}: nondeterministic transition for {key!r}")
-        validate_symbol(head[1])
         table[key] = dst
         states.update((head[0], dst))
 
     if header == "dfa":
         if push or pop:
             raise FormatError("push/pop transitions are not allowed in a dfa")
+        # a row token is valid once split out; a header token need not be
         alphabet = set(comments.get("alphabet", [])) | {sym for _, sym in plain}
+        _check_symbols(alphabet)
         return Dfa(frozenset(states), frozenset(alphabet), dict(plain),
                    initial, frozenset(accepting))
     internal = set(comments.get("internal", [])) | {sym for _, sym in plain}
@@ -157,21 +166,9 @@ def parse_automaton(text: str) -> Automaton:
         raise FormatError(str(exc)) from exc
 
 
-def save_automaton(model: Automaton, path: PathLike) -> None:
-    Path(path).write_text(dump_automaton(model))
-
-
-def load_automaton(path: PathLike) -> Automaton:
-    return parse_automaton(Path(path).read_text())
-
-
 def dump_dataset(dataset: LabeledDataset) -> str:
     """Raises FormatError for a word token that would not parse back as itself."""
-    for sym in dataset.symbols():
-        try:
-            validate_symbol(sym)
-        except AlphabetError as exc:
-            raise FormatError(str(exc)) from exc
+    _check_symbols(dataset.symbols())
     lines = []
     for sample in dataset:
         mark = "+" if sample.label else "-"
@@ -187,14 +184,6 @@ def parse_dataset(text: str) -> LabeledDataset:
             raise FormatError(f"line {lineno}: expected '+' or '-' label, got {toks[0]!r}")
         samples.append(LabeledSample(tuple(toks[1:]), toks[0] == "+"))
     return LabeledDataset(samples)
-
-
-def save_dataset(dataset: LabeledDataset, path: PathLike) -> None:
-    Path(path).write_text(dump_dataset(dataset))
-
-
-def load_dataset(path: PathLike) -> LabeledDataset:
-    return parse_dataset(Path(path).read_text())
 
 
 def dump_alphabet(alphabet: VpaAlphabet) -> str:
@@ -223,11 +212,3 @@ def parse_alphabet(text: str) -> VpaAlphabet:
                            frozenset(groups["return"]))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def save_alphabet(alphabet: VpaAlphabet, path: PathLike) -> None:
-    Path(path).write_text(dump_alphabet(alphabet))
-
-
-def load_alphabet(path: PathLike) -> VpaAlphabet:
-    return parse_alphabet(Path(path).read_text())

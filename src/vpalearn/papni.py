@@ -49,22 +49,18 @@ def dfa_to_vdpa(dfa: Dfa, alphabet: VpaAlphabet) -> Vdpa:
 
     Same states, initial and accepting sets; each edge moves to the
     transition table its symbol class dictates. No minimization, no pruning.
+    ``Vdpa`` raises ``ValueError`` for an edge off the alphabet.
     """
     internal_trans: dict = {}
     call_trans: dict = {}
     return_trans: dict = {}
     for (src, sym), dst in dfa.transitions.items():
         if is_return_pair(sym):
-            ret, call = split_return_pair(sym)
-            if ret not in alphabet.ret or call not in alphabet.call:
-                raise ValueError(f"stack-aware symbol {sym!r} not over the given alphabet")
-            return_trans[(src, ret, call)] = dst
-        elif sym in alphabet.internal:
-            internal_trans[(src, sym)] = dst
+            return_trans[(src, *split_return_pair(sym))] = dst
         elif sym in alphabet.call:
             call_trans[(src, sym)] = dst
         else:
-            raise ValueError(f"symbol {sym!r} not over the given alphabet")
+            internal_trans[(src, sym)] = dst
     return Vdpa(
         states=dfa.states,
         alphabet=alphabet,

@@ -104,16 +104,16 @@ class TestVdpaAccepts:
 
     def test_pop_from_empty_stack(self, parens_gt):
         verdict = vdpa_accepts(parens_gt.vdpa, W(") ("))
-        assert verdict.reason is Reason.POP_FROM_EMPTY_STACK
+        assert verdict is Reason.POP_FROM_EMPTY_STACK
 
     def test_leftover_stack(self, parens_gt):
         verdict = vdpa_accepts(parens_gt.vdpa, W("( ( )"))
-        assert verdict.reason is Reason.NON_EMPTY_STACK_AT_END
+        assert verdict is Reason.NON_EMPTY_STACK_AT_END
 
     def test_empty_word(self, parens_gt, arith_gt):
         # neither initial state is accepting
         assert not vdpa_accepts(parens_gt.vdpa, ()).accepted
-        assert vdpa_accepts(parens_gt.vdpa, ()).reason is Reason.REJECTED_AT_STATE
+        assert vdpa_accepts(parens_gt.vdpa, ()) is Reason.REJECTED_AT_STATE
 
     def test_pure_function(self, parens_gt):
         word = W("( ( ) )")
@@ -170,7 +170,7 @@ class TestVdpaAccepts:
                         vdpa_accepts(model, word)
                     continue
                 verdict = vdpa_accepts(model, word)
-                assert verdict.reason is Reason(expected), word
+                assert verdict is Reason(expected), word
                 assert verdict.accepted is (expected == "Accepted")
 
 

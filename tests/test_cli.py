@@ -1,6 +1,9 @@
 import os
 import statistics
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -56,7 +59,7 @@ class TestLearn:
         assert out.with_suffix(".aut.manifest").exists()
         from vpalearn import bounded_equivalence
 
-        model = formats.load_automaton(out)
+        model = formats.parse_automaton(out.read_text())
         assert bounded_equivalence(model, parens_gt.vdpa, 10) is None
 
     def test_dfa_mode_learns_raw(self, tmp_path, capsys):
@@ -66,7 +69,7 @@ class TestLearn:
                      "--out", str(out)])
         assert code == EXIT_OK
         assert "model size: 5" in capsys.readouterr().out
-        model = formats.load_automaton(out)
+        model = formats.parse_automaton(out.read_text())
         from vpalearn import Dfa, dfa_accepts
 
         assert isinstance(model, Dfa)
@@ -176,7 +179,7 @@ class TestGenerate:
         code = main(["generate", "--grammar", "dyck1", "--total", "50",
                      "--seed", "3", "--out", str(out)])
         assert code == EXIT_OK
-        ds = formats.load_dataset(out)
+        ds = formats.parse_dataset(out.read_text())
         assert len(ds) == 50
         assert "positives:" in capsys.readouterr().out
         assert out.with_suffix(".txt.manifest").exists()
@@ -194,8 +197,8 @@ class TestGenerate:
                      "--mode", "balanced", "--len-min", "2", "--len-max", "14",
                      "--seed", "3", "--split", "--out", str(out)])
         assert code == EXIT_OK
-        train = formats.load_dataset(out.with_suffix(".txt.train"))
-        evl = formats.load_dataset(out.with_suffix(".txt.eval"))
+        train = formats.parse_dataset(out.with_suffix(".txt.train").read_text())
+        evl = formats.parse_dataset(out.with_suffix(".txt.eval").read_text())
         assert not {s.word for s in train} & {s.word for s in evl}
 
     def test_unknown_grammar(self, tmp_path, capsys):
@@ -255,19 +258,19 @@ class TestGenerate:
     def test_custom_automaton_ground_truth(self, tmp_path):
         gt = builtin("balanced_parens")
         model_path = tmp_path / "gt.aut"
-        formats.save_automaton(gt.vdpa, model_path)
+        model_path.write_text(formats.dump_automaton(gt.vdpa))
         out = tmp_path / "d.txt"
         code = main(["generate", "--automaton", str(model_path), "--total", "30",
                      "--seed", "2", "--out", str(out)])
         assert code == EXIT_OK
-        assert len(formats.load_dataset(out)) == 30
+        assert len(formats.parse_dataset(out.read_text())) == 30
 
 
 class TestEval:
     def test_metrics_printed(self, tmp_path, capsys):
         gt = builtin("balanced_parens")
         model_path = tmp_path / "gt.aut"
-        formats.save_automaton(gt.vdpa, model_path)
+        model_path.write_text(formats.dump_automaton(gt.vdpa))
         data = tmp_path / "d.txt"
         main(["generate", "--grammar", "balanced_parens", "--total", "12",
               "--mode", "balanced", "--len-min", "2", "--len-max", "16",
@@ -294,8 +297,18 @@ class TestEval:
 
     def test_directory_as_dataset(self, tmp_path):
         model_path = tmp_path / "gt.aut"
-        formats.save_automaton(builtin("dyck1").vdpa, model_path)
+        model_path.write_text(formats.dump_automaton(builtin("dyck1").vdpa))
         assert main(["eval", str(model_path), str(tmp_path)]) == EXIT_INPUT
+
+    def test_all_negative_data_leaves_the_ratios_undefined(self, tmp_path, capsys):
+        model_path = tmp_path / "gt.aut"
+        model_path.write_text(formats.dump_automaton(builtin("dyck1").vdpa))
+        data = tmp_path / "d.txt"
+        data.write_text("- ( (\n- )\n")
+        assert main(["eval", str(model_path), str(data)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "tn: 2" in out
+        assert "undefined: precision recall f1" in out
 
 
 class TestCheck:
@@ -323,6 +336,14 @@ class TestCheck:
         alpha.write_text(PAREN_ALPHABET)
         assert main(["check", str(data), str(alpha)]) == EXIT_OK
         assert "well_matched: 0" in capsys.readouterr().out
+
+    def test_symbol_outside_alphabet(self, tmp_path, capsys):
+        data = tmp_path / "d.txt"
+        data.write_text("+ ( x )\n")
+        alpha = tmp_path / "alphabet.txt"
+        alpha.write_text(PAREN_ALPHABET)
+        assert main(["check", str(data), str(alpha)]) == EXIT_INPUT
+        assert "'x'" in capsys.readouterr().err
 
 
 class TestBenchmark:
@@ -424,7 +445,7 @@ class TestConvert:
     def test_to_stdout(self, tmp_path, capsys):
         gt = builtin("balanced_parens")
         model_path = tmp_path / "gt.aut"
-        formats.save_automaton(gt.vdpa, model_path)
+        model_path.write_text(formats.dump_automaton(gt.vdpa))
         assert main(["convert", str(model_path)]) == EXIT_OK
         assert "digraph" in capsys.readouterr().out
 
@@ -433,15 +454,36 @@ class TestConvert:
 
     def test_directory_as_output(self, tmp_path, capsys):
         model_path = tmp_path / "gt.aut"
-        formats.save_automaton(builtin("dyck1").vdpa, model_path)
+        model_path.write_text(formats.dump_automaton(builtin("dyck1").vdpa))
         assert main(["convert", str(model_path), "--out", str(tmp_path)]) == EXIT_INPUT
         assert "cannot write DOT file" in capsys.readouterr().err
 
     def test_unknown_target(self, tmp_path):
         gt = builtin("dyck1")
         model_path = tmp_path / "gt.aut"
-        formats.save_automaton(gt.vdpa, model_path)
+        model_path.write_text(formats.dump_automaton(gt.vdpa))
         assert main(["convert", str(model_path), "--to", "svg"]) == EXIT_INPUT
+
+    def test_header_symbol_with_a_hash_exits_2(self, tmp_path, capsys):
+        model_path = tmp_path / "m.aut"
+        model_path.write_text("dfa\n# alphabet: a # b\ninitial: s0\naccepting:\n")
+        assert main(["convert", str(model_path)]) == EXIT_INPUT
+        assert "'#'" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_2_without_a_traceback(self, tmp_path):
+        model_path = tmp_path / "gt.aut"
+        model_path.write_text(formats.dump_automaton(builtin("dyck2").vdpa))
+        src = str(Path(formats.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "vpalearn.cli", "convert", str(model_path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # before the child writes anything
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_INPUT, err
+        assert err.startswith("error:"), err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # line pools of the three input formats, some lines malformed, and whole

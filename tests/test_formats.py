@@ -20,12 +20,9 @@ from vpalearn.formats import (
     dump_alphabet,
     dump_automaton,
     dump_dataset,
-    load_automaton,
     parse_alphabet,
     parse_automaton,
     parse_dataset,
-    save_automaton,
-    save_dataset,
 )
 
 from conftest import as_dataset
@@ -70,6 +67,7 @@ class TestAutomatonFormat:
         "dfa\ninitial: s0\naccepting:\ns0 a s1\n",
         "dfa\ninitial: s0\naccepting:\ns0 a -> s1\ns0 a -> s2\n",
         "dfa\ninitial: s0\naccepting:\ns0 a push -> s1\n",
+        "dfa\n# alphabet: a # b\ninitial: s0\naccepting:\n",
     ])
     def test_malformed_inputs(self, text):
         with pytest.raises(FormatError):
@@ -77,8 +75,17 @@ class TestAutomatonFormat:
 
     def test_save_and_load(self, tmp_path, parens_gt):
         path = tmp_path / "model.aut"
-        save_automaton(parens_gt.vdpa, path)
-        assert bounded_equivalence(load_automaton(path), parens_gt.vdpa, 8) is None
+        path.write_text(dump_automaton(parens_gt.vdpa))
+        assert bounded_equivalence(parse_automaton(path.read_text()), parens_gt.vdpa, 8) is None
+
+
+    @pytest.mark.parametrize("token", ["#", "a#b"])
+    def test_unparseable_dfa_symbol_is_refused(self, token):
+        # the row "s0 # -> s1" would read back as "s0", not as a transition
+        dfa = rpni_learn(as_dataset([(("a", token), True), (("a",), False)]))
+        assert token in dfa.alphabet
+        with pytest.raises(FormatError):
+            dump_automaton(dfa)
 
 
 class TestDatasetFormat:
@@ -101,10 +108,8 @@ class TestDatasetFormat:
 
     def test_save_and_load(self, tmp_path, worked_dataset):
         path = tmp_path / "data.txt"
-        save_dataset(worked_dataset, path)
-        from vpalearn.formats import load_dataset
-
-        assert load_dataset(path).samples == worked_dataset.samples
+        path.write_text(dump_dataset(worked_dataset))
+        assert parse_dataset(path.read_text()).samples == worked_dataset.samples
 
     @pytest.mark.parametrize("token", ["#", "a#b", "a b", "a\nb", ""])
     def test_unparseable_token_is_refused(self, token):

@@ -67,6 +67,15 @@ class TestDfaToVdpa:
         with pytest.raises(ValueError):
             dfa_to_vdpa(dfa, paren_alphabet)
 
+    @pytest.mark.parametrize("sym", ["x|(", ")|y", ")"])
+    def test_edge_off_the_alphabet_rejected(self, paren_alphabet, sym):
+        # a pair whose return or top is foreign, and a bare return, which
+        # only a pair may carry over the stack-aware alphabet
+        dfa = Dfa(frozenset({"q"}), frozenset({sym}), {("q", sym): "q"},
+                  "q", frozenset({"q"}))
+        with pytest.raises(ValueError):
+            dfa_to_vdpa(dfa, paren_alphabet)
+
 
 class TestPapniLearn:
     def test_worked_example(self, worked_dataset, paren_alphabet, parens_gt):
