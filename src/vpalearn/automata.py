@@ -338,6 +338,8 @@ def render_dot(model: Automaton) -> str:
         for (src, sym, top), dst in model.return_trans.items():
             edges.append((names[src], names[dst], f"{sym} / pop({top})"))
     for src, dst, label in sorted(edges):
+        # a symbol may hold '"' or '\'; state labels are the names s0, s1, ...
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {src} -> {dst} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

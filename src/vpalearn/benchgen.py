@@ -189,16 +189,39 @@ def builtin(name: str) -> GroundTruth:
     return GroundTruth(name, vdpa)
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """``rng.randrange(n)`` with the same draws: ``getrandbits(k)``, k the bit
+    length of n, repeated until the result is below n. ``choice``, ``randint``
+    and ``shuffle`` draw the same way, so the hot loops below run this loop
+    inline and still make byte-identical datasets."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _uniform_word(rng: random.Random, symbols: list[str], cfg: GenConfig) -> Word:
-    length = rng.randint(cfg.len_min, cfg.len_max)
-    return tuple(rng.choice(symbols) for _ in range(length))
+    """The word ``rng.randint(len_min, len_max)`` times ``rng.choice(symbols)``
+    would draw."""
+    getrandbits = rng.getrandbits
+    n = len(symbols)
+    k = n.bit_length()
+    word = []
+    for _ in range(cfg.len_min + _randbelow(getrandbits, cfg.len_max - cfg.len_min + 1)):
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        word.append(symbols[i])
+    return tuple(word)
 
 
-def _walk_moves(vdpa: Vdpa) -> tuple[dict, dict, dict]:
+def _walk_moves(vdpa: Vdpa) -> tuple[dict, dict, dict, dict]:
     """The moves an accepting walk draws from: (symbol, target) lists per
     state for internal and call symbols, and per (state, stack top) for
     return symbols, each in symbol order so the walk is reproducible across
-    processes. Built once per dataset, so the walk itself never sorts."""
+    processes. Built once per dataset, so the walk itself never sorts. The
+    fourth dict memoizes the walk's option lists."""
     internal: dict = {}
     call: dict = {}
     ret: dict = {}
@@ -208,36 +231,46 @@ def _walk_moves(vdpa: Vdpa) -> tuple[dict, dict, dict]:
         call.setdefault(src, []).append((sym, dst))
     for (src, sym, top), dst in sorted(vdpa.return_trans.items(), key=lambda kv: kv[0][1]):
         ret.setdefault((src, top), []).append((sym, dst))
-    return internal, call, ret
+    return internal, call, ret, {}
 
 
-def _accepting_walk(rng: random.Random, vdpa: Vdpa, moves: tuple[dict, dict, dict],
+def _accepting_walk(rng: random.Random, vdpa: Vdpa, moves: tuple[dict, dict, dict, dict],
                     length: int) -> Optional[Word]:
     """One random walk of exactly `length` steps that must end accepting with
-    an empty stack; pushes are pruned so the stack can always drain in time."""
-    internal, call, ret = moves
+    an empty stack; pushes are pruned so the stack can always drain in time.
+    Each step draws as ``rng.randrange(len(options))`` would."""
+    internal, call, ret, memo = moves
+    getrandbits = rng.getrandbits
     calls, rets = vdpa.alphabet.call, vdpa.alphabet.ret
     state = vdpa.initial
     stack: list[str] = []
     word: list[str] = []
-    for step in range(length):
-        remaining_after = length - step - 1
-        options: list[tuple[str, object]] = []
-        if len(stack) <= remaining_after:
-            options += internal.get(state, ())
-            if len(stack) < remaining_after:
-                options += call.get(state, ())
-        if stack:
-            options += ret.get((state, stack[-1]), ())
-        if not options:
+    for remaining_after in range(length - 1, -1, -1):
+        depth = len(stack)
+        top = stack[-1] if stack else None
+        key = (state, top, depth <= remaining_after, depth < remaining_after)
+        entry = memo.get(key)
+        if entry is None:
+            options: list[tuple[str, object]] = []
+            if key[2]:
+                options += internal.get(state, ())
+                if key[3]:
+                    options += call.get(state, ())
+            if stack:
+                options += ret.get((state, top), ())
+            entry = memo[key] = (options, len(options), len(options).bit_length())
+        options, n, k = entry
+        if not n:
             return None
-        sym, nxt = options[rng.randrange(len(options))]
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        sym, state = options[i]
         if sym in calls:
             stack.append(sym)
         elif sym in rets:
             stack.pop()
         word.append(sym)
-        state = nxt
     if state in vdpa.accepting and not stack:
         return tuple(word)
     return None
@@ -269,7 +302,8 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
                 f"could not sample {n_pos} distinct accepted words of length "
                 f"[{cfg.len_min}, {cfg.len_max}] from {gt.name!r}")
         budget -= 1
-        word = _accepting_walk(rng, gt.vdpa, moves, rng.randint(cfg.len_min, cfg.len_max))
+        length = cfg.len_min + _randbelow(rng.getrandbits, cfg.len_max - cfg.len_min + 1)
+        word = _accepting_walk(rng, gt.vdpa, moves, length)
         if word is not None:
             positives.add(word)
     negatives: set[Word] = set()
@@ -290,10 +324,10 @@ def split_dataset(dataset: LabeledDataset, seed: int = 0,
                   ) -> tuple[LabeledDataset, LabeledDataset]:
     """Deduplicate by word, shuffle, split in half; both halves are forced to
     contain at least one positive and one negative sample."""
-    unique: dict[Word, bool] = {}
+    unique: dict[Word, LabeledSample] = {}
     for s in dataset:
-        unique.setdefault(s.word, s.label)
-    samples = [LabeledSample(w, l) for w, l in unique.items()]
+        unique.setdefault(s.word, s)
+    samples = list(unique.values())
     pos = sum(1 for s in samples if s.label)
     neg = len(samples) - pos
     if pos < 2 or neg < 2:

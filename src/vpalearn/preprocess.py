@@ -38,6 +38,11 @@ class LabeledSample:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "word", tuple(self.word))
+        # the learners test `label is True`, so a 1 must become True here
+        if type(self.label) is not bool:
+            if self.label not in (True, False):
+                raise ValueError(f"label must be a bool or 0/1, got {self.label!r}")
+            object.__setattr__(self, "label", bool(self.label))
 
 
 @dataclass

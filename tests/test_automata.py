@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,30 @@ class TestRenderDot:
         dot = render_dot(stack_aware_parens_dfa)
         assert dot.count("shape=") == 4  # 3 states + hidden start node
         assert dot.count("label=\"(\"") == 3
+
+    @pytest.mark.parametrize("model,labels", [
+        (Dfa(frozenset({"q"}), frozenset({'a"b', "c\\d"}),
+             {("q", 'a"b'): "q", ("q", "c\\d"): "q"}, "q", frozenset({"q"})),
+         {'a"b', "c\\d"}),
+        (Vdpa(frozenset({"q"}), VpaAlphabet(frozenset({'"'}), frozenset({"c\\"}),
+                                            frozenset({'\\"'})),
+              {("q", '"'): "q"}, {("q", "c\\"): "q"}, {("q", '\\"', "c\\"): "q"},
+              "q", frozenset({"q"})),
+         {'"', "c\\ / push(c\\)", '\\" / pop(c\\)'}),
+    ])
+    def test_labels_are_quoted_dot_strings(self, model, labels):
+        # a symbol may hold '"' and '\\': every label must still be one DOT
+        # quoted string that reads back as the text it stands for
+        quoted = re.compile(r'  \S+(?: -> \S+)? \[(?:shape=\w+, )?label="((?:[^"\\]|\\.)*)"\];')
+        edge_labels = set()
+        for line in render_dot(model).splitlines():
+            if "label=" in line:
+                match = quoted.fullmatch(line)
+                assert match, line
+                text = re.sub(r"\\(.)", r"\1", match.group(1))
+                if "->" in line:
+                    edge_labels.add(text)
+        assert edge_labels == labels
 
     def test_canonical_names_start_at_initial(self, parens_gt):
         names = canonical_names(parens_gt.vdpa)

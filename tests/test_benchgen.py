@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vpalearn import (
     BUILTIN_NAMES,
@@ -20,7 +22,8 @@ from vpalearn import (
     vdpa_accepts,
 )
 
-from vpalearn.formats import dump_automaton
+from vpalearn.benchgen import _accepting_walk, _randbelow, _uniform_word, _walk_moves
+from vpalearn.formats import dump_automaton, dump_dataset
 
 from conftest import as_dataset, oracle_well_matched
 
@@ -156,6 +159,14 @@ class TestGenerateDataset:
             generate_dataset(gt, GenConfig(total=4, len_min=4, len_max=4,
                                            seed=0, mode="balanced"))
 
+    def test_balanced_mode_runs_out_of_negatives(self):
+        # every word over {a} is accepted, so no rejected word exists
+        gt = GroundTruth("all", Vdpa(frozenset({"q"}), VpaAlphabet(frozenset({"a"})),
+                                     {("q", "a"): "q"}, {}, {}, "q", frozenset({"q"})))
+        with pytest.raises(GenerationError, match="rejected words"):
+            generate_dataset(gt, GenConfig(total=4, len_min=1, len_max=4,
+                                           seed=0, mode="balanced"))
+
     def test_different_seeds_differ(self):
         gt = builtin("dyck1")
         a = generate_dataset(gt, GenConfig(total=100, seed=1))
@@ -223,3 +234,247 @@ class TestEvaluate:
         ds = as_dataset([(("x",), False)])
         m = evaluate(parens_gt.vdpa, ds)
         assert m.tn == 1
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(-50, 50),
+       st.integers(1, 30), st.integers(0, 30))
+@settings(max_examples=200, deadline=None)
+def test_draws_equal_the_stdlib_draws(seed, n, lo, len_min, len_extra):
+    """The generator's inline rejection loop makes exactly the getrandbits
+    calls of randrange, randint and choice, so two generators seeded alike
+    stay in the same state after every pair of draws."""
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    seq = list(range(n))
+    for _ in range(3):
+        assert _randbelow(ours.getrandbits, n) == stdlib.randrange(n)
+        assert ours.getstate() == stdlib.getstate()
+        assert lo + _randbelow(ours.getrandbits, n) == stdlib.randint(lo, lo + n - 1)
+        assert ours.getstate() == stdlib.getstate()
+        assert seq[_randbelow(ours.getrandbits, n)] == stdlib.choice(seq)
+        assert ours.getstate() == stdlib.getstate()
+    symbols = [f"x{i}" for i in range(n)]
+    cfg = GenConfig(len_min=len_min, len_max=len_min + len_extra)
+    word = _uniform_word(ours, symbols, cfg)
+    # the oracle: the same word drawn through the stdlib calls
+    oracle = tuple(stdlib.choice(symbols) for _ in range(stdlib.randint(cfg.len_min, cfg.len_max)))
+    assert word == oracle
+    assert ours.getstate() == stdlib.getstate()
+
+
+def _oracle_walk(rng, vdpa, length):
+    """The accepting walk before its option lists were memoized: the list is
+    rebuilt at every step and the step is drawn by randrange."""
+    internal, call, ret, _ = _walk_moves(vdpa)
+    state, stack, word = vdpa.initial, [], []
+    for step in range(length):
+        remaining_after = length - step - 1
+        options = []
+        if len(stack) <= remaining_after:
+            options += internal.get(state, ())
+            if len(stack) < remaining_after:
+                options += call.get(state, ())
+        if stack:
+            options += ret.get((state, stack[-1]), ())
+        if not options:
+            return None
+        sym, state = options[rng.randrange(len(options))]
+        if sym in vdpa.alphabet.call:
+            stack.append(sym)
+        elif sym in vdpa.alphabet.ret:
+            stack.pop()
+        word.append(sym)
+    return tuple(word) if state in vdpa.accepting and not stack else None
+
+
+@given(st.sampled_from(BUILTIN_NAMES), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(1, 30), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_walks_equal_the_unmemoized_walks(name, seed, lengths):
+    vdpa = builtin(name).vdpa
+    ours, oracle = random.Random(seed), random.Random(seed)
+    moves = _walk_moves(vdpa)  # one memo across the walks, as in a dataset
+    for length in lengths:
+        assert _accepting_walk(ours, vdpa, moves, length) == _oracle_walk(oracle, vdpa, length)
+        assert ours.getstate() == oracle.getstate()
+
+
+# sha256 of dump_dataset for the generated dataset and for both halves of
+# its split, recorded before the generator's draws were rewritten: for a
+# given seed not one byte of a dataset may change. Balanced anbn and
+# balanced_parens have one positive per even length, so the balanced sets
+# stay small; anbn at seed 3 still runs out of distinct positives.
+DATASET_CONFIGS = {
+    "uniform": dict(total=300, len_min=1, len_max=6),
+    "balanced": dict(total=12, len_min=2, len_max=20),
+}
+DATASET_SHA256 = {
+    ("anbn", "uniform", 3): (
+        "ecbd44fc2b69b4eb1c53950d56924ed5e0474b5cbe070e97434ad9216843266d",
+        "bcb191f08fa7143570c135f2db2c95e32b15d73c838e9281b577db127868254e",
+        "8b0b6787f33428a55982c28e32482e185e60559f4f905f4635f428367f2a48d7",
+    ),
+    ("anbn", "uniform", 11): (
+        "651a210a1aca4235c93fa12c701c01361cc8b53ac34ec7c7158fa0935628343d",
+        "3534dcf9aa585cb4be35a84f23ca21d7909d2b886395434fd0d75abfe4ea3742",
+        "e5734da4c96bad946055b5555b605fd0d74cf7f1b01294538fca99eb09730a6a",
+    ),
+    ("anbn", "balanced", 3): GenerationError,
+    ("anbn", "balanced", 11): (
+        "c3c680e22444898d28a5783538705ad44088578ad219c54e6bfc37c53a999fde",
+        "7e88b5f5c394d77aec14cf080fd0b540d8d82b4f4a7bdd5424856a83d5ee2e9e",
+        "5a857cf2d7aa351bd6621411899bcca2f47b7937cc784e44c15892f0e542054d",
+    ),
+    ("arithmetic_expr", "uniform", 3): (
+        "92735faaa24de2502a0a22842d4baa97f1d116b995fd51b82c0fb229f0824d56",
+        "b93560e0796ec5c45e324a190cf5f5c29f15ec9f18169eb17398addd0909a354",
+        "ae47811fb25c3c5b9fd033a7decf9757c13d3c07e0fb2518659a235b6aeabc0b",
+    ),
+    ("arithmetic_expr", "uniform", 11): (
+        "a2e677b87e62e53dbf6e754a5083499d30062f37edb78b0bc4240fa1c98b907a",
+        "4c8086a8f27b23448aeae050ffc9f43622875baee7066a4f920db6d5b34c367d",
+        "e41adcbc097a2689306393c9fd61ab560b81b4c08e8fc270483c95060d22cdaf",
+    ),
+    ("arithmetic_expr", "balanced", 3): (
+        "9021c1719f324b97a6d2791d0f0a4df8d60040b5db66bc208cb9bbde4693f6d4",
+        "bdcdb8290d77c7654898866e5549364013dabde6abacdd997c7d2cb8e1c0901b",
+        "e4974daaf4014bf1b1d0519a56ffe848a296dee96ac780b7fcac4fff94f5e919",
+    ),
+    ("arithmetic_expr", "balanced", 11): (
+        "23ad6841214c2a46a9dc693f935c46152735f524fc4446f753497829dd841fb4",
+        "5732165e0602cabcfee6026c70664a36f81e5d6973b86b018aedf2be86f94a73",
+        "4bc2c472fc296ed5e8f1291b8611a3741b8908281ef63732281eff69178d1f9c",
+    ),
+    ("balanced_parens", "uniform", 3): (
+        "3ae1fd2d73d8e8a54e243829f713b3356edd7f514f8aea9c080db86b02563fee",
+        "b1a62d78823049ca136e1c11905e384460a785fad07f332779e1259de1fc8714",
+        "f876ae83d86321d2190fcbd125fc208cf66063d023ca00572015cac971f02543",
+    ),
+    ("balanced_parens", "uniform", 11): (
+        "bcfb327ed3d5587428662a2d3bbbd82363ebb960125df72e7e4fee9b1d63d735",
+        "ae98503eac5d980b7e5769ed2e2e7dc13c53ba863f3b84bc506f858224730f02",
+        "2434ea02f058493ebbfdc30a11b22f5f151c0d60bd1d2427cc4cf9bc6eef3889",
+    ),
+    ("balanced_parens", "balanced", 3): (
+        "33fcda56ba656017002edd043bb4d25ac473bb5324ba359bc1882955fc53921c",
+        "a399c899d9a55b04779bb71049255e1e3489d200e0ac5bbb4ca60e1f77a38ce2",
+        "f0a86063afea2e0d6d93e52f36d420768327c19e9cdc3c4874abb57684d28c46",
+    ),
+    ("balanced_parens", "balanced", 11): (
+        "53b087083c2948873fbb0f467f7c8bbe627fdefb62fc0184f3a6962311870e15",
+        "bfc85c191bf17bf4b8e9f7b52fc5b42aa664f70ece7a3e4d8adcbf88ef05d6f1",
+        "4b9e824feec771117c1cd4eda1ebe234f4294a3c382ca84070e9c6ef92101de0",
+    ),
+    ("dyck1", "uniform", 3): (
+        "7c257129d5b2df31c263159133e7c5af5ca33bbc8daf626f941bb462ce4c29ab",
+        "c668bfe3efcef091365d2b5c09007c488d7ce12b544c6e5ac7c19034632a9544",
+        "007cd1550cd6655cbf5d2997d2ea43850bd83ccb87c30bc23d183988209d6a51",
+    ),
+    ("dyck1", "uniform", 11): (
+        "0f0b6410156eb8d7e185b4950d9c6325b0b493338388affad035aae12ae951f0",
+        "63fd8d1c8200e48b6b9c133e44b911345ce9d96878fab43f6375c98af3afce5d",
+        "5e3a1b6b41704939c8c1307a7ff528c1c38232c71e8d6143a1dc4e7ff5bbea56",
+    ),
+    ("dyck1", "balanced", 3): (
+        "40669f8893166b12451b343ba140914d2282e0da6d6275a195da8896920d0b8e",
+        "79f2f6f5351d13231de8b4df351d120c768009153c7e88846ecc7543c5d48c66",
+        "7e3764b5f0b247306bc87055fe133bf485d4d2b1ff1f98ebbc6ee2920907e261",
+    ),
+    ("dyck1", "balanced", 11): (
+        "849a9be6241fcaa1131821a9b4d05e30c6a1d08767f87a332cf95475ba370fdd",
+        "fee3ba40d810199ea64bb301bfcb22399320b51a8ad9ce506c4c54de240a2348",
+        "f8d96f32652840c0da4d74c27e94402577666b36559c3d2aa17248f191e7bf81",
+    ),
+    ("dyck1_even", "uniform", 3): (
+        "ccf21bf2d6797cad47867d8801905a5e46208df0ddd943b829c556cc58018b82",
+        "b1a62d78823049ca136e1c11905e384460a785fad07f332779e1259de1fc8714",
+        "53f3ac40ac9eb0ab73897fe464ffcd00dc7266b073f1fea5415080cbc469897a",
+    ),
+    ("dyck1_even", "uniform", 11): (
+        "f7af7c4b2f27a5e928cc92c960f0d50476f46a2dccd7f09d53bfde058dd9d599",
+        "c2009ea92fddc8fd340fd29df4981941ed3ebfea3febb0cbced787e9fbe6bac8",
+        "f9ac0cc7d7615d0604f5c0a1631e90a88add410055e565105727c3b21de2e627",
+    ),
+    ("dyck1_even", "balanced", 3): (
+        "11a51b64fce620ea708a154293425e6e953aadd8c302145d11b5e8b4d16fae62",
+        "07d74bb11482eeef8d41aba85b622a4f4dd5c0919ef414a417c9802bb7a13560",
+        "f4a3a8b0f2376a5a2016e637d30e8fe2f83cf5350cf2abe4c710308de51f31a9",
+    ),
+    ("dyck1_even", "balanced", 11): (
+        "3f27dc47be41aac7111376cff8ee7a97d440a2a5032fe482d37e4ff5bd0c85cc",
+        "ecd469c038c9cf34b41c0ad9de670498b8d9ce1d82fa73802bdb40971197ee09",
+        "fa7ae1c642a63bdaeae20aab7c16f7ed69a3ec3b6d16428847ca5f7e4c28a495",
+    ),
+    ("dyck1_odd", "uniform", 3): (
+        "a1da9e481bef10d3a06dda9cf9d670aebb563691ccfe117716f19926d3be77e3",
+        "d4b967f8a82dfafc285adccc286a99e14f1675838d77fca099a97917281c2b70",
+        "f876ae83d86321d2190fcbd125fc208cf66063d023ca00572015cac971f02543",
+    ),
+    ("dyck1_odd", "uniform", 11): (
+        "da0693836dd9f004d460a762c0ddf3b0b7240a0b597b27ceaef144b695cd55b8",
+        "04f01c1fdffbc5ad40c8b6654335382898b97d36c899acf0b89498f79f62441b",
+        "5e3a1b6b41704939c8c1307a7ff528c1c38232c71e8d6143a1dc4e7ff5bbea56",
+    ),
+    ("dyck1_odd", "balanced", 3): (
+        "0ac341be500a5b0b78d8e4e0ac90f30906251bb11a54f1bc0f69f9c7a732beaa",
+        "c001dc6b7e1761dab9a2be35ee2daa5aa5f1c8ab7c50e72c1df855dfae4ffcf7",
+        "08ff7de09b96d20bd04f07547c9b84838923a01919b6f4d9f45f284cc4dca453",
+    ),
+    ("dyck1_odd", "balanced", 11): (
+        "eb214ce7e5a8adb13f177b535fc103b33dc4172e5884041b9aed9b3722bc498d",
+        "81aeef9f59a1ec37b4e4b271ed6108adb4e52209dccfe5cdf016d8775cf34cf6",
+        "61ee53eeef12e9cd72f1668678488ece2c9fc8bf28441e12a61f98ce9c71ef6b",
+    ),
+    ("dyck2", "uniform", 3): (
+        "d489e0e37d205ede0c18d7dcfe13bb5c63f5e513d0ab3b2fb8b298bb1337c7c7",
+        "4fee93611192e3873b398a773efcbbfd022b22063449bee81da66d3680865d0e",
+        "87134024310b0a24ee22bfd43d576269dad3c7198f6c6dc01de751553bc133d2",
+    ),
+    ("dyck2", "uniform", 11): (
+        "0456b73a703acfbdfc0f164c06761115e0d35bdd708a62536da83dd669de520b",
+        "49ef57396797049badc3eec8a172f8c8b7d01adeda33ddd2ec4d280319100e78",
+        "661c2ce3aa44b27acf270bc04cef061580ee00e44d00d4c33da6fdad913c4894",
+    ),
+    ("dyck2", "balanced", 3): (
+        "82247325ddff23c0bd84998ee0b6d9ca0b9e840188bec202e4b2232c9407dfe8",
+        "0975affe38c958f959c22bab729ba0106f45ceb79a2a8c1682e0149728a3522d",
+        "59804108831192a0589d89967054922c899c090adbe164af82da5b44e971ebd0",
+    ),
+    ("dyck2", "balanced", 11): (
+        "2ac9a15c835e2511745ef16a7a943472f345a430de2300b979d11df811357278",
+        "8e43577a1dcf575720bc9c34057187f3cc87596b81b4b427c0a79eb2eb8ed4c4",
+        "8433c63aac39b3946d50d1caaca24323115bfeeee2a003154eee4a08aaf1d578",
+    ),
+    ("nested_xml_tags", "uniform", 3): (
+        "bca85b7d3aad7f5fb75b63e5e57e92e22573edf689d156089d0ce587940999b1",
+        "ca1c1a416804df10de54aad636d84ba5c088da8a1c5efe99a224653f9c74af10",
+        "030dead14fa5bf6f51563a88c81b2b4e75d8796dcd3c55b6231ec347c96b52ff",
+    ),
+    ("nested_xml_tags", "uniform", 11): (
+        "886f003994515649f11b1e678d3997b42143043092d96d71695ae43bc88b515c",
+        "7f05db3c07a89e4bf3b6fdbac2931d3338ba9229f026ff155a0010a0a5e38d16",
+        "cf563bc12b6add08f93647b47a27185852ced973219f5e2c9c952f77561aca7e",
+    ),
+    ("nested_xml_tags", "balanced", 3): (
+        "721d00e907cd69f86daecd87d3cd1e21b5b56e09945d0e4d78370d5811121ef4",
+        "8e95af68ec56a819161eeedbd81f0c790d8e92d76225dc98a36dfc538c7c6d1a",
+        "cf0ad9bd6c9c5472fc39639696744939026f39404a3a33b7454f39680da925ef",
+    ),
+    ("nested_xml_tags", "balanced", 11): (
+        "2fc4cc095b1ad8b3061961840e5060e62a5d43fb224440914305459a51300736",
+        "3bca9d26f625a99309c31ba1c99fa0dc13008a6ce7e3efd7672fc6ca4b6bfbb0",
+        "3559b80125158451575959716f8f64ee3493ca39a5a9b720f7b6ee45f363df48",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,mode,seed", sorted(DATASET_SHA256))
+def test_datasets_are_byte_identical(name, mode, seed):
+    cfg = GenConfig(seed=seed, mode=mode, **DATASET_CONFIGS[mode])
+    pinned = DATASET_SHA256[(name, mode, seed)]
+    if pinned is GenerationError:
+        with pytest.raises(GenerationError):
+            generate_dataset(builtin(name), cfg)
+        return
+    dataset = generate_dataset(builtin(name), cfg)
+    parts = (dataset, *split_dataset(dataset, seed=seed))
+    assert tuple(hashlib.sha256(dump_dataset(p).encode()).hexdigest() for p in parts) == pinned

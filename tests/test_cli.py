@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from vpalearn import (
     BUILTIN_NAMES,
     GenConfig,
+    Vdpa,
+    VpaAlphabet,
     benchgen,
     builtin,
     evaluate,
@@ -254,6 +256,18 @@ class TestGenerate:
     def test_directory_as_automaton(self, tmp_path):
         code = main(["generate", "--automaton", str(tmp_path), "--out", str(tmp_path / "d.txt")])
         assert code == EXIT_INPUT
+
+    def test_ground_truth_without_rejected_words(self, tmp_path, capsys):
+        # it accepts every word over {a}, so balanced mode finds no negative
+        model = tmp_path / "all.aut"
+        model.write_text(formats.dump_automaton(Vdpa(
+            frozenset({"q"}), VpaAlphabet(frozenset({"a"})), {("q", "a"): "q"}, {}, {},
+            "q", frozenset({"q"}))))
+        code = main(["generate", "--automaton", str(model), "--total", "4",
+                     "--len-min", "1", "--len-max", "4", "--mode", "balanced",
+                     "--out", str(tmp_path / "d.txt")])
+        assert code == EXIT_GENERATION
+        assert "rejected words" in capsys.readouterr().err
 
     def test_custom_automaton_ground_truth(self, tmp_path):
         gt = builtin("balanced_parens")

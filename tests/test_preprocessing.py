@@ -10,9 +10,11 @@ from vpalearn import (
     LabeledSample,
     TransformError,
     VpaAlphabet,
+    dfa_accepts,
     from_stack_aware,
     is_well_matched,
     preprocess_dataset,
+    rpni_learn,
     to_stack_aware,
 )
 
@@ -37,6 +39,21 @@ class TestLabeledDataset:
 
     def test_symbols(self, worked_dataset):
         assert worked_dataset.symbols() == {"(", ")"}
+
+    def test_integer_labels_become_bools(self):
+        # the learners test `label is True`, so a 1 kept as an int would be
+        # learned as a negative and the model would reject its own positive
+        ds = LabeledDataset([(("a",), 1), (("a", "a"), 0)])
+        assert [s.label for s in ds] == [True, False]
+        assert all(type(s.label) is bool for s in ds)
+        model = rpni_learn(ds)
+        assert dfa_accepts(model, ("a",))
+        assert not dfa_accepts(model, ("a", "a"))
+
+    @pytest.mark.parametrize("label", [2, -1, 0.5, "+", "True", None])
+    def test_other_labels_rejected(self, label):
+        with pytest.raises(ValueError):
+            LabeledSample(("a",), label)
 
 
 class TestIsWellMatched:
