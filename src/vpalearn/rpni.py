@@ -39,8 +39,9 @@ _REJ = False
 
 @dataclass
 class Pta:
-    """Prefix tree acceptor. Node 0 is the root; node ids are assigned in
-    shortlex order of access strings, so id order is shortlex order."""
+    """Prefix tree acceptor. Node 0 is the root; node ids are the shortlex
+    ranks of the access strings, so id order is shortlex order, and every
+    node's children dict lists its symbols in sorted order."""
 
     children: list[dict[str, int]]
     label: list[Optional[bool]]
@@ -53,36 +54,54 @@ class Pta:
 
 def build_pta(dataset: LabeledDataset) -> Pta:
     """Span all sample words; endpoints get the sample label, the rest stay
-    unknown. Conflicting labels for one word raise a DatasetError."""
-    children: list[dict[str, int]] = [{}]
-    label: list[Optional[bool]] = [None]
-    # sorted insertion hands every node its children in symbol order
-    for sample in sorted(dataset, key=lambda s: s.word):
-        node = 0
-        for sym in sample.word:
-            nxt = children[node].get(sym)
-            if nxt is None:
-                nxt = len(children)
-                children[node][sym] = nxt
-                children.append({})
-                label.append(None)
-            node = nxt
+    unknown. Conflicting labels for one word raise a DatasetError.
+
+    Two passes over the sorted words give every node its shortlex id: one
+    counts the nodes of each depth, the other makes them.
+    """
+    samples = sorted(dataset, key=lambda s: s.word)
+    # In sorted order a word shares a prefix of some length k with the word
+    # before it and makes exactly the nodes at depths k+1..len(word); a
+    # difference array over those ranges counts the nodes of each depth.
+    shared: list[int] = []
+    delta = [0] * (max((len(s.word) for s in samples), default=0) + 2)
+    prev: tuple[str, ...] = ()
+    for sample in samples:
+        word = sample.word
+        k = 0
+        for a, b in zip(prev, word):
+            if a != b:
+                break
+            k += 1
+        shared.append(k)
+        delta[k + 1] += 1
+        delta[len(word) + 1] -= 1
+        prev = word
+    # Within one depth sorted order is lexicographic order of the prefixes,
+    # so a depth's ids run on from the root and every shallower node.
+    next_id = [0] * len(delta)
+    width, size = 0, 1
+    for depth in range(1, len(delta)):
+        width += delta[depth]
+        next_id[depth] = size
+        size += width
+    children: list[dict[str, int]] = [{} for _ in range(size)]
+    label: list[Optional[bool]] = [None] * size
+    # last[d]: the latest node made at depth d, the current word's prefix
+    last = [0] * len(delta)
+    for sample, k in zip(samples, shared):
+        word = sample.word
+        node = last[k]
+        for depth, sym in enumerate(word[k:], k + 1):
+            new = next_id[depth]
+            next_id[depth] = new + 1
+            # sorted order hands every node its children in symbol order
+            children[node][sym] = new
+            last[depth] = node = new
         if label[node] is not None and label[node] != sample.label:
-            raise DatasetError(f"conflicting labels for word {' '.join(sample.word)!r}")
+            raise DatasetError(f"conflicting labels for word {' '.join(word) or 'ε'!r}")
         label[node] = sample.label
-    # renumber breadth-first: ids become shortlex order; the dicts are
-    # rewritten in place, not copied
-    order = [0]
-    for node in order:
-        order.extend(children[node].values())
-    remap = [0] * len(order)
-    for new, old in enumerate(order):
-        remap[old] = new
-    for kids in children:
-        for sym, dst in kids.items():
-            kids[sym] = remap[dst]
-    return Pta([children[old] for old in order], [label[old] for old in order],
-               dataset.symbols())
+    return Pta(children, label, dataset.symbols())
 
 
 class MergeState:

@@ -59,11 +59,18 @@ class TestBuildPta:
         labeled = sum(1 for l in pta.label if l is not None)
         assert labeled == len(ends)
 
-    def test_conflict_raises(self):
+    @pytest.mark.parametrize("samples, shown", [
+        ([(("a",), True), (("a",), False)], "'a'"),
+        ([((), False), ((), True)], "'ε'"),
+        # sorting brings the pair together, whatever lies between them
+        ([(("a", "b"), True), (("b",), False), ((), True), (("a",), False),
+          (("a", "b", "a"), True), (("a", "b"), False)], "'a b'"),
+    ], ids=["same_word", "empty_word", "separated"])
+    def test_conflict_raises(self, samples, shown):
         ds = LabeledDataset.__new__(LabeledDataset)
         # bypass the dataset's own conflict check to exercise the PTA's
-        ds.samples = [LabeledSample(("a",), True), LabeledSample(("a",), False)]
-        with pytest.raises(DatasetError):
+        ds.samples = [LabeledSample(w, l) for w, l in samples]
+        with pytest.raises(DatasetError, match=f"^conflicting labels for word {shown}$"):
             build_pta(ds)
 
     def test_root_label_from_empty_word(self, worked_dataset):
@@ -256,15 +263,18 @@ def test_rejected_merges_stay_rejected(dataset):
 # words over multi-character symbols too, so that shortlex compares symbol
 # strings, not characters
 _words = st.lists(st.sampled_from(["(", ")", "a", "ab", "b", "ret|call"]), max_size=6).map(tuple)
+# every word once, some again with the same label, in any order
 _shuffled_samples = st.dictionaries(_words, st.booleans(), min_size=1, max_size=30).flatmap(
-    lambda pairs: st.permutations([LabeledSample(w, l) for w, l in pairs.items()]))
+    lambda pairs: st.lists(st.sampled_from(sorted(pairs.items())), max_size=10).flatmap(
+        lambda again: st.permutations([LabeledSample(w, l) for w, l in [*pairs.items(), *again]])))
 
 
 @given(_shuffled_samples)
 @settings(max_examples=200, deadline=None)
 def test_pta_ids_are_shortlex_ranks(samples):
-    """In any sample order, node ids are the shortlex ranks of the distinct
-    prefixes, with the prefix tree's edges and the samples' labels."""
+    """In any sample order, repeats included, node ids are the shortlex ranks
+    of the distinct prefixes, with the prefix tree's edges in symbol order
+    and the samples' labels."""
     pta = build_pta(LabeledDataset(samples))
     prefixes = sorted({s.word[:i] for s in samples for i in range(len(s.word) + 1)},
                       key=lambda w: (len(w), w))
@@ -273,7 +283,7 @@ def test_pta_ids_are_shortlex_ranks(samples):
     for w in prefixes[1:]:
         edges[rank[w[:-1]]][w[-1]] = rank[w]
     labels = {s.word: s.label for s in samples}
-    assert pta.children == edges
+    assert [list(kids.items()) for kids in pta.children] == [list(kids.items()) for kids in edges]
     assert pta.label == [labels.get(w) for w in prefixes]
 
 
