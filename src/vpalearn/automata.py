@@ -101,16 +101,9 @@ class Dfa:
     accepting: frozenset[State]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", frozenset(self.states))
         object.__setattr__(self, "alphabet", frozenset(self.alphabet))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        if self.initial not in self.states:
-            raise ValueError("initial state not in state set")
-        if not self.accepting <= self.states:
-            raise ValueError("accepting states not a subset of states")
-        for (src, sym), dst in self.transitions.items():
-            if src not in self.states or dst not in self.states:
-                raise ValueError(f"transition ({src!r}, {sym!r}) -> {dst!r} leaves the state set")
+        _check_states(self)
+        for _, sym in self.transitions:
             if sym not in self.alphabet:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
 
@@ -148,30 +141,14 @@ class Vdpa:
     accepting: frozenset[State]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        if self.initial not in self.states:
-            raise ValueError("initial state not in state set")
-        if not self.accepting <= self.states:
-            raise ValueError("accepting states not a subset of states")
-        for (src, sym), dst in self.internal_trans.items():
-            self._check_endpoint(src, dst)
-            if sym not in self.alphabet.internal:
-                raise ValueError(f"{sym!r} used as internal but not in internal alphabet")
-        for (src, sym), dst in self.call_trans.items():
-            self._check_endpoint(src, dst)
-            if sym not in self.alphabet.call:
-                raise ValueError(f"{sym!r} used as call but not in call alphabet")
-        for (src, sym, top), dst in self.return_trans.items():
-            self._check_endpoint(src, dst)
-            if sym not in self.alphabet.ret:
-                raise ValueError(f"{sym!r} used as return but not in return alphabet")
-            if top not in self.alphabet.call:
+        _check_states(self)
+        kinds = {"internal": self.alphabet.internal, "call": self.alphabet.call,
+                 "return": self.alphabet.ret}
+        for kind, _, sym, top, _ in edges(self):
+            if sym not in kinds[kind]:
+                raise ValueError(f"{sym!r} used as {kind} but not in {kind} alphabet")
+            if top is not None and top not in self.alphabet.call:
                 raise ValueError(f"stack top {top!r} not a call symbol")
-
-    def _check_endpoint(self, src: State, dst: State) -> None:
-        if src not in self.states or dst not in self.states:
-            raise ValueError("transition endpoint outside the state set")
 
     @property
     def size(self) -> int:
@@ -179,6 +156,34 @@ class Vdpa:
 
 
 Automaton = Union[Dfa, Vdpa]
+
+
+def edges(model: Automaton) -> Iterator[tuple[str, State, str, Optional[str], State]]:
+    """Every transition once, as ``(kind, src, symbol, popped top, dst)``:
+    kind is ``"internal"``, ``"call"`` or ``"return"``, the top is ``None``
+    except on a return, and every DFA edge is internal."""
+    if isinstance(model, Dfa):
+        tables = (("internal", model.transitions),)
+    else:
+        tables = (("internal", model.internal_trans), ("call", model.call_trans),
+                  ("return", model.return_trans))
+    for kind, table in tables:
+        for key, dst in table.items():
+            yield kind, key[0], key[1], key[2] if kind == "return" else None, dst
+
+
+def _check_states(model: Automaton) -> None:
+    """Freeze ``states`` and ``accepting``, and check that the initial and
+    accepting states and every transition's endpoints lie in ``states``."""
+    object.__setattr__(model, "states", frozenset(model.states))
+    object.__setattr__(model, "accepting", frozenset(model.accepting))
+    if model.initial not in model.states:
+        raise ValueError("initial state not in state set")
+    if not model.accepting <= model.states:
+        raise ValueError("accepting states not a subset of states")
+    for _, src, sym, _, dst in edges(model):
+        if src not in model.states or dst not in model.states:
+            raise ValueError(f"transition ({src!r}, {sym!r}) -> {dst!r} leaves the state set")
 
 
 def dfa_accepts(dfa: Dfa, word: Word) -> bool:
@@ -290,25 +295,16 @@ def bounded_equivalence(a: Automaton, b: Automaton, max_len: int,
 def canonical_names(model: Automaton) -> dict[State, str]:
     """Names ``s0``, ``s1``, ... in BFS order from the initial state, edges
     taken in sorted symbol order; unreachable states follow, sorted by repr."""
-    if isinstance(model, Dfa):
-        edges: dict[State, list[tuple[str, State]]] = {s: [] for s in model.states}
-        for (src, sym), dst in model.transitions.items():
-            edges[src].append((sym, dst))
-    else:
-        edges = {s: [] for s in model.states}
-        for (src, sym), dst in model.internal_trans.items():
-            edges[src].append((sym, dst))
-        for (src, sym), dst in model.call_trans.items():
-            edges[src].append((sym, dst))
-        for (src, sym, top), dst in model.return_trans.items():
-            edges[src].append((f"{sym} {top}", dst))
+    successors: dict[State, list[tuple[str, State]]] = {s: [] for s in model.states}
+    for _, src, sym, top, dst in edges(model):
+        successors[src].append((sym if top is None else f"{sym} {top}", dst))
     order: list[State] = []
     seen = {model.initial}
     queue = deque([model.initial])
     while queue:
         state = queue.popleft()
         order.append(state)
-        for _, dst in sorted(edges[state], key=lambda e: e[0]):
+        for _, dst in sorted(successors[state], key=lambda e: e[0]):
             if dst not in seen:
                 seen.add(dst)
                 queue.append(dst)
@@ -326,18 +322,14 @@ def render_dot(model: Automaton) -> str:
         shape = "doublecircle" if state in model.accepting else "circle"
         lines.append(f'  {name} [shape={shape}, label="{name}"];')
     lines.append(f"  __start -> {names[model.initial]};")
-    edges: list[tuple[str, str, str]] = []
-    if isinstance(model, Dfa):
-        for (src, sym), dst in model.transitions.items():
-            edges.append((names[src], names[dst], sym))
-    else:
-        for (src, sym), dst in model.internal_trans.items():
-            edges.append((names[src], names[dst], sym))
-        for (src, sym), dst in model.call_trans.items():
-            edges.append((names[src], names[dst], f"{sym} / push({sym})"))
-        for (src, sym, top), dst in model.return_trans.items():
-            edges.append((names[src], names[dst], f"{sym} / pop({top})"))
-    for src, dst, label in sorted(edges):
+    arrows: list[tuple[str, str, str]] = []
+    for kind, src, sym, top, dst in edges(model):
+        if kind == "call":
+            sym = f"{sym} / push({sym})"
+        elif kind == "return":
+            sym = f"{sym} / pop({top})"
+        arrows.append((names[src], names[dst], sym))
+    for src, dst, label in sorted(arrows):
         # a symbol may hold '"' or '\'; state labels are the names s0, s1, ...
         label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {src} -> {dst} [label="{label}"];')

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .automata import Automaton, Dfa, Vdpa, VpaAlphabet, classify, vdpa_accepts
+from .automata import Automaton, Dfa, Vdpa, VpaAlphabet, classify, edges, vdpa_accepts
 from .papni import dfa_to_vdpa
 from .preprocess import LabeledDataset, LabeledSample, Word
 
@@ -68,11 +68,12 @@ class EvalMetrics:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def _simple_vdpa(internal, call, ret, transitions, initial, accepting,
-                 states) -> Vdpa:
+def _simple_vdpa(internal, call, ret, transitions, initial, accepting) -> Vdpa:
     """The lift of a DFA over the stack-aware alphabet: transitions are
-    (src, sym, dst), a return written as its ``ret|call`` pair."""
+    (src, sym, dst), a return written as its ``ret|call`` pair. The states
+    are the initial state and those the transitions name."""
     alphabet = VpaAlphabet(internal, call, ret)
+    states = {initial, *(q for src, _, dst in transitions for q in (src, dst))}
     dfa = Dfa(states, alphabet.stack_aware_symbols(),
               {(src, sym): dst for src, sym, dst in transitions}, initial, accepting)
     return dfa_to_vdpa(dfa, alphabet)
@@ -91,7 +92,7 @@ def _balanced_parens() -> Vdpa:
             ("s2", "(", "s2"),
             ("s2", ")|(", "s2"),
         ],
-        initial="s0", accepting=["s1"], states=["s0", "s1", "s2"])
+        initial="s0", accepting=["s1"])
 
 
 def _arithmetic_expr() -> Vdpa:
@@ -103,7 +104,7 @@ def _arithmetic_expr() -> Vdpa:
             ("s1", ")|(", "s1"),
             ("s1", "+", "s0"),
         ],
-        initial="s0", accepting=["s1"], states=["s0", "s1"])
+        initial="s0", accepting=["s1"])
 
 
 def _anbn() -> Vdpa:
@@ -114,7 +115,7 @@ def _anbn() -> Vdpa:
             ("s0", "b|a", "s1"),
             ("s1", "b|a", "s1"),
         ],
-        initial="s0", accepting=["s1"], states=["s0", "s1"])
+        initial="s0", accepting=["s1"])
 
 
 def _dyck1() -> Vdpa:
@@ -124,7 +125,7 @@ def _dyck1() -> Vdpa:
             ("s0", "(", "s0"),
             ("s0", ")|(", "s0"),
         ],
-        initial="s0", accepting=["s0"], states=["s0"])
+        initial="s0", accepting=["s0"])
 
 
 def _dyck2() -> Vdpa:
@@ -136,7 +137,7 @@ def _dyck2() -> Vdpa:
             ("s0", ")|(", "s0"),
             ("s0", "]|[", "s0"),
         ],
-        initial="s0", accepting=["s0"], states=["s0"])
+        initial="s0", accepting=["s0"])
 
 
 def _dyck1_parity(accept_odd: bool) -> Vdpa:
@@ -149,8 +150,7 @@ def _dyck1_parity(accept_odd: bool) -> Vdpa:
             ("even", ")|(", "even"),
             ("odd", ")|(", "odd"),
         ],
-        initial="even", accepting=["odd" if accept_odd else "even"],
-        states=["even", "odd"])
+        initial="even", accepting=["odd" if accept_odd else "even"])
 
 
 def _nested_xml_tags() -> Vdpa:
@@ -163,7 +163,7 @@ def _nested_xml_tags() -> Vdpa:
             ("s0", "</a>|<a>", "s0"),
             ("s0", "</b>|<b>", "s0"),
         ],
-        initial="s0", accepting=["s0"], states=["s0"])
+        initial="s0", accepting=["s0"])
 
 
 _BUILTINS = {
@@ -222,16 +222,11 @@ def _walk_moves(vdpa: Vdpa) -> tuple[dict, dict, dict, dict]:
     return symbols, each in symbol order so the walk is reproducible across
     processes. Built once per dataset, so the walk itself never sorts. The
     fourth dict memoizes the walk's option lists."""
-    internal: dict = {}
-    call: dict = {}
-    ret: dict = {}
-    for (src, sym), dst in sorted(vdpa.internal_trans.items(), key=lambda kv: kv[0][1]):
-        internal.setdefault(src, []).append((sym, dst))
-    for (src, sym), dst in sorted(vdpa.call_trans.items(), key=lambda kv: kv[0][1]):
-        call.setdefault(src, []).append((sym, dst))
-    for (src, sym, top), dst in sorted(vdpa.return_trans.items(), key=lambda kv: kv[0][1]):
-        ret.setdefault((src, top), []).append((sym, dst))
-    return internal, call, ret, {}
+    moves: dict[str, dict] = {"internal": {}, "call": {}, "return": {}}
+    # the kinds partition the symbols, so one stable sort orders each list
+    for kind, src, sym, top, dst in sorted(edges(vdpa), key=lambda e: e[2]):
+        moves[kind].setdefault(src if top is None else (src, top), []).append((sym, dst))
+    return moves["internal"], moves["call"], moves["return"], {}
 
 
 def _accepting_walk(rng: random.Random, vdpa: Vdpa, moves: tuple[dict, dict, dict, dict],
@@ -337,14 +332,11 @@ def split_dataset(dataset: LabeledDataset, seed: int = 0,
     half = len(samples) // 2
     train, evl = samples[:half], samples[half:]
     for want in (True, False):
-        if not any(s.label is want for s in train):
-            give = next(i for i, s in enumerate(evl) if s.label is want)
-            take = next(i for i, s in enumerate(train) if s.label is not want)
-            train[take], evl[give] = evl[give], train[take]
-        if not any(s.label is want for s in evl):
-            give = next(i for i, s in enumerate(train) if s.label is want)
-            take = next(i for i, s in enumerate(evl) if s.label is not want)
-            evl[take], train[give] = train[give], evl[take]
+        for lacking, other in ((train, evl), (evl, train)):
+            if not any(s.label is want for s in lacking):
+                give = next(i for i, s in enumerate(other) if s.label is want)
+                take = next(i for i, s in enumerate(lacking) if s.label is not want)
+                lacking[take], other[give] = other[give], lacking[take]
     return LabeledDataset(train), LabeledDataset(evl)
 
 

@@ -136,12 +136,14 @@ def cmd_generate(args) -> int:
                         seed=args.seed, mode=args.mode)
     except ValueError as exc:
         raise _CliError(EXIT_INPUT, str(exc))
+    out = Path(args.out)
+    if not out.name:  # the split halves and the manifest are named after it
+        raise _CliError(EXIT_INPUT, f"cannot write dataset {args.out!r}: not a file name")
     gt = _ground_truth(args)
     try:
         dataset = benchgen.generate_dataset(gt, cfg)
     except GenerationError as exc:
         raise _CliError(EXIT_GENERATION, str(exc))
-    out = Path(args.out)
     outputs: list[Path] = []
     if args.split:
         try:

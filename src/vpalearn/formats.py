@@ -29,6 +29,7 @@ from .automata import (
     Vdpa,
     VpaAlphabet,
     canonical_names,
+    edges,
     validate_symbol,
 )
 from .preprocess import LabeledDataset, LabeledSample
@@ -72,16 +73,12 @@ def dump_automaton(model: Automaton) -> str:
     out.write(f"initial: {names[model.initial]}\n")
     out.write("accepting: " + " ".join(n for s, n in names.items() if s in model.accepting) + "\n")
     rows: list[str] = []
-    if isinstance(model, Dfa):
-        for (src, sym), dst in model.transitions.items():
-            rows.append(f"{names[src]} {sym} -> {names[dst]}")
-    else:
-        for (src, sym), dst in model.internal_trans.items():
-            rows.append(f"{names[src]} {sym} -> {names[dst]}")
-        for (src, sym), dst in model.call_trans.items():
-            rows.append(f"{names[src]} {sym} push -> {names[dst]}")
-        for (src, sym, top), dst in model.return_trans.items():
-            rows.append(f"{names[src]} {sym} pop {top} -> {names[dst]}")
+    for kind, src, sym, top, dst in edges(model):
+        if kind == "call":
+            sym += " push"
+        elif kind == "return":
+            sym += f" pop {top}"
+        rows.append(f"{names[src]} {sym} -> {names[dst]}")
     out.write("\n".join(sorted(rows)) + ("\n" if rows else ""))
     return out.getvalue()
 

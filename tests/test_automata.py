@@ -21,7 +21,7 @@ from vpalearn import (
     render_dot,
     vdpa_accepts,
 )
-from vpalearn.automata import canonical_names
+from vpalearn.automata import canonical_names, edges
 
 from conftest import as_dataset, oracle_dfa_walk, oracle_vdpa_reason, oracle_well_matched
 
@@ -54,6 +54,80 @@ class TestVpaAlphabet:
         a = arith_alphabet
         bound = len(a.internal) + len(a.call) + len(a.ret) * len(a.call)
         assert len(a.stack_aware_symbols()) <= bound
+
+
+class TestConstructorChecks:
+    # one valid model per kind; each case swaps in one bad field
+    DFA = dict(states={"q", "r"}, alphabet={"a"}, transitions={("q", "a"): "r"},
+               initial="q", accepting={"r"})
+    VDPA = dict(states={"q", "r"}, alphabet=VpaAlphabet({"i"}, {"("}, {")"}),
+                internal_trans={("q", "i"): "q"}, call_trans={("q", "("): "r"},
+                return_trans={("r", ")", "("): "q"}, initial="q", accepting={"q"})
+
+    @pytest.mark.parametrize("bad,message", [
+        (dict(initial="x"), "initial state not in state set"),
+        (dict(accepting={"r", "x"}), "accepting states not a subset of states"),
+        (dict(transitions={("q", "a"): "x"}),
+         re.escape("transition ('q', 'a') -> 'x' leaves the state set")),
+        (dict(transitions={("x", "a"): "q"}),
+         re.escape("transition ('x', 'a') -> 'q' leaves the state set")),
+        (dict(transitions={("q", "b"): "r"}), "transition symbol 'b' not in alphabet"),
+    ])
+    def test_dfa_rejects(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            Dfa(**{**self.DFA, **bad})
+
+    @pytest.mark.parametrize("bad,message", [
+        (dict(initial="x"), "initial state not in state set"),
+        (dict(accepting={"q", "x"}), "accepting states not a subset of states"),
+        (dict(internal_trans={("q", "i"): "x"}), "state set"),
+        (dict(call_trans={("x", "("): "r"}), "state set"),
+        (dict(return_trans={("r", ")", "("): "x"}), "state set"),
+        (dict(internal_trans={("q", "("): "q"}), "'\\(' used as internal but not in internal alphabet"),
+        (dict(call_trans={("q", "i"): "r"}), "'i' used as call but not in call alphabet"),
+        (dict(return_trans={("r", "(", "("): "q"}), "'\\(' used as return but not in return alphabet"),
+        (dict(return_trans={("r", ")", "i"): "q"}), "stack top 'i' not a call symbol"),
+    ])
+    def test_vdpa_rejects(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            Vdpa(**{**self.VDPA, **bad})
+
+    def test_valid_models_build(self):
+        assert Dfa(**self.DFA).size == Vdpa(**self.VDPA).size == 2
+
+
+_ALPHABET = VpaAlphabet({"i"}, {"(", "["}, {")"})
+_STATES = st.sampled_from([0, 1, 2])
+
+
+def _table(*keys):
+    return st.dictionaries(st.tuples(_STATES, *keys), _STATES, max_size=8)
+
+
+@st.composite
+def _small_models(draw):
+    accepting = draw(st.sets(_STATES))
+    if draw(st.booleans()):
+        symbols = sorted(_ALPHABET.stack_aware_symbols())
+        return Dfa({0, 1, 2}, symbols, draw(_table(st.sampled_from(symbols))), 0, accepting)
+    calls = st.sampled_from(sorted(_ALPHABET.call))
+    return Vdpa({0, 1, 2}, _ALPHABET, draw(_table(st.just("i"))), draw(_table(calls)),
+                draw(_table(st.just(")"), calls)), 0, accepting)
+
+
+@given(_small_models())
+@settings(max_examples=200, deadline=None)
+def test_edges_list_each_transition_once_with_its_kind(model):
+    tables: dict = {"internal": {}, "call": {}, "return": {}}
+    for kind, src, sym, top, dst in edges(model):
+        key = (src, sym) if top is None else (src, sym, top)
+        assert key not in tables[kind]
+        tables[kind][key] = dst
+    if isinstance(model, Dfa):
+        assert tables == {"internal": model.transitions, "call": {}, "return": {}}
+    else:
+        assert tables == {"internal": model.internal_trans, "call": model.call_trans,
+                          "return": model.return_trans}
 
 
 class TestDfaAccepts:

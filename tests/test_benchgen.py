@@ -18,6 +18,7 @@ from vpalearn import (
     evaluate,
     generate_dataset,
     is_well_matched,
+    render_dot,
     split_dataset,
     vdpa_accepts,
 )
@@ -38,6 +39,18 @@ BUILTIN_SHA256 = {
     "dyck1_odd": "ce88028864a2ebb17697503a5a0116c90a2b498011d41f5e933c4dc5fa78431d",
     "dyck2": "7a73191a9836d1ba2629f870a740343cb44b02e3da1c81c4cb60ef647e478076",
     "nested_xml_tags": "ca91000a4d8aa45c48d42bf9819c90baffc2af6633f62903cbe05a58cbdf00ed",
+}
+
+# sha256 of render_dot for every built-in, recorded the same way
+BUILTIN_DOT_SHA256 = {
+    "anbn": "79953dbb4c1dae60ae0d59d882d218b4d44bca02bb9b52423f51febf818da45b",
+    "arithmetic_expr": "b6db02f558251218d5b8743794c5b6d32840764fb5081b80eb285c7c3ce93845",
+    "balanced_parens": "3acc98f289cce72391de59c3a07d4bcc906141c66b10afe58e608f0c23a4f1e1",
+    "dyck1": "b4cbe65eeaca8cf0eaa04d2ebf15cf187ba0aed1229eb91b2d9cb2e2228a115e",
+    "dyck1_even": "2faa46c7df357a206d2a8b74f87eae636e7d95219fd50d60a052d762927c2ca1",
+    "dyck1_odd": "3361897eda8d6ebaef13b108a9efd4eab6f7e5d030e572556fb5957a9acaa3d8",
+    "dyck2": "f0f4059a8ca7c34c66e4dcea58b8606f5074110eca6305b6d63f144720da0686",
+    "nested_xml_tags": "d8ccc62e98e8224d3925b6be878e6cad667c6708b6ad166272b010f975ce2afd",
 }
 
 
@@ -67,6 +80,11 @@ class TestBuiltins:
     def test_dump_is_pinned(self, name):
         text = dump_automaton(builtin(name).vdpa)
         assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_SHA256[name]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_dot_is_pinned(self, name):
+        text = render_dot(builtin(name).vdpa)
+        assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_DOT_SHA256[name]
 
     def test_ground_truth_needs_symbols(self):
         # uniform sampling draws from the alphabet, so it must not be empty
@@ -174,6 +192,30 @@ class TestGenerateDataset:
         assert a.samples != b.samples
 
 
+# sha256 of dump_dataset for both halves of a split of two words of one
+# label and six of the other, keyed by (label of the two, seed): at seed 5
+# the shuffle leaves the eval half without that label and at seed 6 the
+# train half, so the four cases run each of split_dataset's swaps
+SPLIT_SWAP_SHA256 = {
+    (True, 5): (
+        "a0a92e7d2b3d396164eae0e526973d3120e5f76326cf5b90b9500450232f5d2b",
+        "51efc1428affbdbc07d577fdf0d69ed0d9084f9aa6610b134c1af1d58f82b28b",
+    ),
+    (True, 6): (
+        "d813f2f17e442faed3a535e1f44331ef7784638969bee3c90048028f02495a69",
+        "092dce92f413bd0a148f7bdbc247a1d24ef6b1f3ad63f01d77bec70ded2b5fc4",
+    ),
+    (False, 5): (
+        "9b8c82ea68360e6ea1c9eb552d88c2d7e04bc89c770084f0e2f73c6542355590",
+        "595e947ae57674bf2d23390d07f614b5900b510b2fc4beb37e598c659591f99e",
+    ),
+    (False, 6): (
+        "97a4e4a7f63d9c9f081fbba20a023ac71a83a832f1997f06d2b4395a0afb90e9",
+        "04d3d9decc136b4b6cfb2a72dcff5073f9e66d6af1cb230e37e1da94f192c170",
+    ),
+}
+
+
 class TestSplitDataset:
     def test_partition_and_coverage(self):
         gt = builtin("dyck1")
@@ -193,6 +235,13 @@ class TestSplitDataset:
         ds = generate_dataset(gt, GenConfig(total=120, len_min=2, len_max=10,
                                             seed=4, mode="balanced"))
         assert split_dataset(ds, seed=9)[0].samples == split_dataset(ds, seed=9)[0].samples
+
+    @pytest.mark.parametrize("minority,seed", sorted(SPLIT_SWAP_SHA256))
+    def test_swaps_are_byte_identical(self, minority, seed):
+        pairs = [(w, minority) for w in "ab"] + [(w, not minority) for w in "cdefgh"]
+        parts = split_dataset(as_dataset(pairs), seed=seed)
+        digests = tuple(hashlib.sha256(dump_dataset(p).encode()).hexdigest() for p in parts)
+        assert digests == SPLIT_SWAP_SHA256[(minority, seed)]
 
     def test_needs_both_labels(self):
         with pytest.raises(ValueError):

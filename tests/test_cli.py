@@ -203,6 +203,15 @@ class TestGenerate:
         evl = formats.parse_dataset(out.with_suffix(".txt.eval").read_text())
         assert not {s.word for s in train} & {s.word for s in evl}
 
+    @pytest.mark.parametrize("out", ["", "."])
+    def test_split_to_a_path_without_a_file_name(self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        code = main(["generate", "--grammar", "dyck1", "--total", "20", "--split", "--out", out])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_grammar(self, tmp_path, capsys):
         code = main(["generate", "--grammar", "bogus", "--out", str(tmp_path / "d.txt")])
         assert code == EXIT_INPUT

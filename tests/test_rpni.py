@@ -11,12 +11,15 @@ from vpalearn import (
     GenConfig,
     LabeledDataset,
     LabeledSample,
+    PapniConfig,
     build_pta,
     builtin,
     dfa_accepts,
     edsm_learn,
     generate_dataset,
+    papni_learn,
     preprocess_dataset,
+    render_dot,
     rpni_learn,
 )
 from vpalearn.formats import dump_automaton
@@ -209,6 +212,55 @@ def test_learned_models_are_byte_identical(grammar, seed, backend):
     learn = {"rpni": rpni_learn, "edsm": edsm_learn}[backend]
     text = dump_automaton(learn(_balanced_set(grammar, seed)))
     assert hashlib.sha256(text.encode()).hexdigest() == LEARNED_SHA256[(grammar, seed, backend)]
+
+
+# sha256 of render_dot for the same raw models and for the pipeline's
+# pushdown models learned from the same sets with either backend
+LEARNED_DOT_SHA256 = {
+    ("arithmetic_expr", 73, "rpni", "raw"): "4269ae224eb8fe5a905667ad2ae2a1779b3099952a3f3042e7526118768f3086",
+    ("arithmetic_expr", 73, "rpni", "pipeline"): "9b725d9b96af76cb0675883878de1743337cd9fa21783168c2d6435b23b0f201",
+    ("arithmetic_expr", 73, "edsm", "raw"): "84862788a36f244c8ab35a28af3dfaf0865e87d53401d703d0aaf9da223d1016",
+    ("arithmetic_expr", 73, "edsm", "pipeline"): "9b725d9b96af76cb0675883878de1743337cd9fa21783168c2d6435b23b0f201",
+    ("arithmetic_expr", 74, "rpni", "raw"): "cbb0524a30cbdff9fc1c12eea72cb13b72e51165f857b5643a9bb9fcbdb0367e",
+    ("arithmetic_expr", 74, "rpni", "pipeline"): "854aac7cf4001feacca5a35f9a63354263daddf257a837179b63b7e13abc1fdf",
+    ("arithmetic_expr", 74, "edsm", "raw"): "29dbef7b59ea4c354f5746227d7cc4b316d9c52e1f99f8bf99da434a08602f2d",
+    ("arithmetic_expr", 74, "edsm", "pipeline"): "854aac7cf4001feacca5a35f9a63354263daddf257a837179b63b7e13abc1fdf",
+    ("arithmetic_expr", 75, "rpni", "raw"): "7a89c9928c36e7f6d17a9955df8077ea140e054e46a8a2c29dd40564b6e998ca",
+    ("arithmetic_expr", 75, "rpni", "pipeline"): "ae62ca9ff873a1962ae45b7b7da8c11951ce01961e928532b21f712213c65c33",
+    ("arithmetic_expr", 75, "edsm", "raw"): "c372678c62c0d850082cff5b6cbd8a7a2b52fb20d375b9c6d28e585572d9f3a6",
+    ("arithmetic_expr", 75, "edsm", "pipeline"): "ae62ca9ff873a1962ae45b7b7da8c11951ce01961e928532b21f712213c65c33",
+    ("arithmetic_expr", 76, "rpni", "raw"): "078cd08d312f7f85e602299ea1f984de7b94b5cf6df6eca9db50d6729c9f0d2a",
+    ("arithmetic_expr", 76, "rpni", "pipeline"): "4e80f736fdec5a5b729e85cc81e99f8d5483d59492e7dab0f0539b595e171023",
+    ("arithmetic_expr", 76, "edsm", "raw"): "127044fe28757459b6bb7b8c19567a492963009baeca7a2dc539a8a0a3e2ae59",
+    ("arithmetic_expr", 76, "edsm", "pipeline"): "c9fb3003e31107be632a72ce84f35fb072baa7cdd1e1770933e0bda48af1d5ce",
+    ("dyck2", 73, "rpni", "raw"): "37109ba98e218f65385ae0e62046ab4c6bb495aeca14948cc50d4e0db2c50ee8",
+    ("dyck2", 73, "rpni", "pipeline"): "458d99f7184d2e893fb31908031d142f53650557cc3de42c35f4a1b2b96b0f82",
+    ("dyck2", 73, "edsm", "raw"): "889b440ec6901435fa40808cdda888ef7768745fd1ec089ca7529a82fb30cc9e",
+    ("dyck2", 73, "edsm", "pipeline"): "458d99f7184d2e893fb31908031d142f53650557cc3de42c35f4a1b2b96b0f82",
+    ("dyck2", 74, "rpni", "raw"): "07387c49fc28b771aa0084b0d1f7cfcd6eedac88cc438025b881aaba3fd28356",
+    ("dyck2", 74, "rpni", "pipeline"): "f0f4059a8ca7c34c66e4dcea58b8606f5074110eca6305b6d63f144720da0686",
+    ("dyck2", 74, "edsm", "raw"): "9515cfa344c3c3a18daeb26c3ae97819cf10b365fe31b8a1c24a092fe795d2c0",
+    ("dyck2", 74, "edsm", "pipeline"): "f0f4059a8ca7c34c66e4dcea58b8606f5074110eca6305b6d63f144720da0686",
+    ("dyck2", 75, "rpni", "raw"): "8190393edc46001e11f9fb3d28eafa6b7923c7f13270fd72bf7e59ef0d5e5a28",
+    ("dyck2", 75, "rpni", "pipeline"): "f0f4059a8ca7c34c66e4dcea58b8606f5074110eca6305b6d63f144720da0686",
+    ("dyck2", 75, "edsm", "raw"): "ab1c12d61b354c6b45fe818ab82663ef8cdfe33c14561f7eecf8cfd47e5b6242",
+    ("dyck2", 75, "edsm", "pipeline"): "f0f4059a8ca7c34c66e4dcea58b8606f5074110eca6305b6d63f144720da0686",
+    ("dyck2", 76, "rpni", "raw"): "3d203e0cb527df9de41c0f7bb17e681d6165f329b330cf90eb633c7aa86ceded",
+    ("dyck2", 76, "rpni", "pipeline"): "f0f4059a8ca7c34c66e4dcea58b8606f5074110eca6305b6d63f144720da0686",
+    ("dyck2", 76, "edsm", "raw"): "8ab5389a5e6e81f9baf7bc7179df02166ba27f58bc6c5c59dfe19593dd0fc426",
+    ("dyck2", 76, "edsm", "pipeline"): "f0f4059a8ca7c34c66e4dcea58b8606f5074110eca6305b6d63f144720da0686",
+}
+
+
+@pytest.mark.parametrize("grammar,seed,backend,mode", sorted(LEARNED_DOT_SHA256))
+def test_learned_dots_are_byte_identical(grammar, seed, backend, mode):
+    dataset = _balanced_set(grammar, seed)
+    if mode == "raw":
+        model = {"rpni": rpni_learn, "edsm": edsm_learn}[backend](dataset)
+    else:
+        model, _ = papni_learn(dataset, builtin(grammar).alphabet, PapniConfig(backend=backend))
+    text = render_dot(model)
+    assert hashlib.sha256(text.encode()).hexdigest() == LEARNED_DOT_SHA256[(grammar, seed, backend, mode)]
 
 
 _small_datasets = st.dictionaries(
