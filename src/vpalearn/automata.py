@@ -244,32 +244,6 @@ def model_symbols(model: Automaton) -> frozenset[str]:
     return model.alphabet.symbols
 
 
-def _enumerate_words(symbols: Sequence[str], max_len: int,
-                     alpha: Optional[VpaAlphabet]) -> Iterator[tuple[str, ...]]:
-    """Shortlex enumeration. With a VPA alphabet, prune to words that can
-    still extend to a well-matched word (counter never negative, never larger
-    than the remaining length)."""
-    order = sorted(symbols)
-    # counter change per symbol: a call raises it, a return lowers it
-    delta = {sym: 0 if alpha is None else (sym in alpha.call) - (sym in alpha.ret)
-             for sym in order}
-    for length in range(max_len + 1):
-        # depth-first in lexicographic order at fixed length
-        def extend(prefix: tuple[str, ...], counter: int) -> Iterator[tuple[str, ...]]:
-            if len(prefix) == length:
-                if counter == 0 or alpha is None:
-                    yield prefix
-                return
-            remaining = length - len(prefix)
-            for sym in order:
-                c = counter + delta[sym]
-                if alpha is not None and (c < 0 or c > remaining - 1):
-                    continue
-                yield from extend(prefix + (sym,), c)
-
-        yield from extend((), 0)
-
-
 def bounded_equivalence(a: Automaton, b: Automaton, max_len: int,
                         ) -> Optional[tuple[str, ...]]:
     """Compare two automata on all words up to ``max_len``.
@@ -278,16 +252,60 @@ def bounded_equivalence(a: Automaton, b: Automaton, max_len: int,
     lexicographically smallest) word they classify differently.
 
     Two VDPAs over the same internal/call/return split both reject every
-    word that is not well-matched, so only well-matched words are
-    enumerated for them.
+    word that is not well-matched, so only well-matched words are searched
+    for them. One depth-first search per length, symbols in sorted order,
+    runs both models side by side over one shared stack of pending calls.
+    It skips a subtree where both runs are dead, and one whose
+    configuration (both states, the stack, the remaining length) an
+    earlier search showed to hold no difference.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     alpha = a.alphabet if isinstance(a, Vdpa) and isinstance(b, Vdpa) else None
     if model_symbols(a) != model_symbols(b) or (alpha is not None and b.alphabet != alpha):
         raise AlphabetError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
-    for word in _enumerate_words(sorted(model_symbols(a)), max_len, alpha):
-        if classify(a, word) != classify(b, word):
+    # the stack follows the pushdown model's split; a DFA never reads it
+    split = next((m.alphabet for m in (a, b) if isinstance(m, Vdpa)), VpaAlphabet())
+    steps = [(sym, (sym in split.call) - (sym in split.ret)) for sym in sorted(model_symbols(a))]
+    moves_a, moves_b = ({(src, sym, top): dst for _, src, sym, top, dst in edges(m)}
+                        for m in (a, b))
+    pda_a, pda_b = isinstance(a, Vdpa), isinstance(b, Vdpa)
+    dead = object()  # a run past an undefined move rejects every extension
+    settled: set = set()
+
+    def differ(qa: State, qb: State, stack: tuple[str, ...],
+               remaining: int) -> Optional[tuple[str, ...]]:
+        """The first suffix of exactly ``remaining`` symbols on which the
+        runs from here disagree, or None."""
+        if not remaining:
+            accept_a = qa in a.accepting and not (pda_a and stack)
+            accept_b = qb in b.accepting and not (pda_b and stack)
+            return () if accept_a != accept_b else None
+        if (qa, qb, stack, remaining) in settled:
+            return None
+        depth = len(stack)
+        for sym, delta in steps:
+            if alpha is not None and not 0 <= depth + delta < remaining:
+                continue
+            top, after = None, stack
+            if delta > 0:
+                after = stack + (sym,)
+            elif delta < 0:
+                # popping an empty stack looks up top None, which no return move has
+                top, after = stack[-1] if stack else None, stack[:-1]
+            na = moves_a.get((qa, sym, top if pda_a else None), dead)
+            nb = moves_b.get((qb, sym, top if pda_b else None), dead)
+            if na is dead and nb is dead:
+                continue
+            suffix = differ(na, nb, after, remaining - 1)
+            if suffix is not None:
+                return (sym,) + suffix
+        settled.add((qa, qb, stack, remaining))
+        return None
+
+    for length in range(max_len + 1):
+        word = differ(a.initial, b.initial, (), length)
+        if word is not None:
             return word
     return None
 

@@ -214,7 +214,7 @@ def cmd_benchmark(args) -> int:
         raise _CliError(EXIT_INPUT, str(exc))
     if not truths:
         raise _CliError(EXIT_INPUT, "no grammar names given")
-    if args.out:
+    if args.out is not None:
         # appending nothing finds an unwritable report path before the
         # comparison runs and leaves an existing report as it is; a file the
         # probe created goes again, so a failed run leaves no empty report
@@ -250,7 +250,7 @@ def cmd_benchmark(args) -> int:
     print(f"{'grammar':<18} {'learner':<7} {'mean_f1':>8} {'std_f1':>8} {'mean_size':>10} {'time_s':>8}")
     for grammar, name, mean_f1, std_f1, mean_size, wall in rows:
         print(f"{grammar:<18} {name:<7} {mean_f1:>8.4f} {std_f1:>8.4f} {mean_size:>10.1f} {wall:>8.3f}")
-    if args.out:
+    if args.out is not None:
         _write(args.out, "\n\n".join(
             f"grammar: {grammar}\nlearner: {name}\nmean_f1: {mean_f1:.6f}\n"
             f"std_f1: {std_f1:.6f}\nmean_model_size: {mean_size:.2f}\nwall_time_s: {wall:.3f}"
@@ -266,7 +266,7 @@ def cmd_convert(args) -> int:
         raise _CliError(EXIT_INPUT, f"unknown target format {args.to!r}")
     model = _load(formats.parse_automaton, args.model, "model")
     dot = render_dot(model)
-    if args.out:
+    if args.out is not None:
         _write(args.out, dot, "DOT file")
     else:
         sys.stdout.write(dot)

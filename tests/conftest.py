@@ -4,11 +4,12 @@ automata, and independent oracles used to cross-check implementations."""
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import pytest
 
-from vpalearn import Dfa, LabeledDataset, LabeledSample, Vdpa, VpaAlphabet, builtin
+from vpalearn import (AlphabetError, Dfa, LabeledDataset, LabeledSample, Vdpa, VpaAlphabet,
+                      builtin, classify)
 
 # the balanced-parentheses learning example: 10 labeled words plus the
 # empty word; 5 of the 10 non-empty words are not well-matched
@@ -141,6 +142,51 @@ def oracle_dfa_walk(dfa: Dfa, word) -> bool:
             return False
         state = table[state][sym]
     return state in dfa.accepting
+
+
+def _model_symbols(model) -> frozenset:
+    return model.alphabet if isinstance(model, Dfa) else model.alphabet.symbols
+
+
+def _enumerate_words(symbols: Sequence[str], max_len: int,
+                     alpha: Optional[VpaAlphabet]) -> Iterator[tuple]:
+    """Shortlex enumeration. With a VPA alphabet, prune to words that can
+    still extend to a well-matched word (counter never negative, never larger
+    than the remaining length)."""
+    order = sorted(symbols)
+    # counter change per symbol: a call raises it, a return lowers it
+    delta = {sym: 0 if alpha is None else (sym in alpha.call) - (sym in alpha.ret)
+             for sym in order}
+    for length in range(max_len + 1):
+        # depth-first in lexicographic order at fixed length
+        def extend(prefix: tuple, counter: int) -> Iterator[tuple]:
+            if len(prefix) == length:
+                if counter == 0 or alpha is None:
+                    yield prefix
+                return
+            remaining = length - len(prefix)
+            for sym in order:
+                c = counter + delta[sym]
+                if alpha is not None and (c < 0 or c > remaining - 1):
+                    continue
+                yield from extend(prefix + (sym,), c)
+
+        yield from extend((), 0)
+
+
+def oracle_bounded_equivalence(a, b, max_len: int) -> Optional[tuple]:
+    """Run both models from the start on every word up to ``max_len``, in
+    shortlex order, and return the first word they classify differently.
+    Two VDPAs only see well-matched words, as ``bounded_equivalence`` does."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    alpha = a.alphabet if isinstance(a, Vdpa) and isinstance(b, Vdpa) else None
+    if _model_symbols(a) != _model_symbols(b) or (alpha is not None and b.alphabet != alpha):
+        raise AlphabetError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
+    for word in _enumerate_words(_model_symbols(a), max_len, alpha):
+        if classify(a, word) != classify(b, word):
+            return word
+    return None
 
 
 def distinct_prefixes(words) -> int:

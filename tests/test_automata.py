@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -9,21 +10,27 @@ from vpalearn import (
     BUILTIN_NAMES,
     AlphabetError,
     Dfa,
+    GenConfig,
     NoWellMatchedSamplesError,
+    PapniConfig,
     Reason,
     Vdpa,
     VpaAlphabet,
     bounded_equivalence,
     builtin,
+    classify,
     dfa_accepts,
+    generate_dataset,
     is_well_matched,
     papni_learn,
     render_dot,
+    rpni_learn,
     vdpa_accepts,
 )
 from vpalearn.automata import canonical_names, edges
 
-from conftest import as_dataset, oracle_dfa_walk, oracle_vdpa_reason, oracle_well_matched
+from conftest import (as_dataset, oracle_bounded_equivalence, oracle_dfa_walk,
+                      oracle_vdpa_reason, oracle_well_matched)
 
 
 def W(text: str) -> tuple:
@@ -272,6 +279,76 @@ class TestBoundedEquivalence:
                     {("q", "("): "q", ("q", ")"): "q"}, {}, {}, "q", frozenset({"q"}))
         with pytest.raises(AlphabetError):
             bounded_equivalence(builtin("dyck1").vdpa, flat, 4)
+
+    def test_lengths_beyond_enumeration(self, parens_gt):
+        # about 6.5e9 well-matched words of length 40 over one bracket
+        # pair, and 1,100 symbols are past Python's default recursion
+        # limit: both need the configurations memoized across lengths
+        assert bounded_equivalence(parens_gt.vdpa, parens_gt.vdpa, 40) is None
+        a_star = Dfa(frozenset({"q"}), frozenset({"a"}), {("q", "a"): "q"}, "q", frozenset({"q"}))
+        assert bounded_equivalence(a_star, a_star, 1100) is None
+        # s2 is the sink after a pop followed by a push
+        wider = dataclasses.replace(parens_gt.vdpa, accepting=parens_gt.vdpa.accepting | {"s2"})
+        witness = bounded_equivalence(parens_gt.vdpa, wider, 40)
+        assert witness == W("( ) ( )")
+        assert classify(parens_gt.vdpa, witness) != classify(wider, witness)
+
+
+@st.composite
+def _complete_models(draw):
+    """A DFA or a VDPA over the plain symbols of ``_ALPHABET`` with every
+    move defined, so that most states are reached and differences lie
+    deeper; a DFA and a VDPA drawn here share their symbols."""
+    if draw(st.booleans()):
+        symbols = sorted(_ALPHABET.symbols)
+        return Dfa({0, 1, 2}, symbols, {(s, a): draw(_STATES) for s in range(3) for a in symbols},
+                   0, draw(st.sets(_STATES)))
+    calls = sorted(_ALPHABET.call)
+    return Vdpa({0, 1, 2}, _ALPHABET, {(s, "i"): draw(_STATES) for s in range(3)},
+                {(s, c): draw(_STATES) for s in range(3) for c in calls},
+                {(s, ")", c): draw(_STATES) for s in range(3) for c in calls},
+                0, draw(st.sets(_STATES)))
+
+
+@st.composite
+def _model_pairs(draw):
+    """Two drawn models, of the same kind or mixed, or a model and a copy
+    with the acceptance of one state after the initial one flipped."""
+    models = st.one_of(_small_models(), _complete_models())
+    a = draw(models)
+    if draw(st.booleans()):
+        return a, draw(models)
+    return a, dataclasses.replace(a, accepting=a.accepting ^ {draw(st.sampled_from([1, 2]))})
+
+
+def _same_outcome(a, b, max_len):
+    try:
+        expected = oracle_bounded_equivalence(a, b, max_len)
+    except AlphabetError:
+        with pytest.raises(AlphabetError):
+            bounded_equivalence(a, b, max_len)
+        return
+    assert bounded_equivalence(a, b, max_len) == expected
+
+
+@given(_model_pairs(), st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_bounded_equivalence_equals_the_enumeration(pair, max_len):
+    _same_outcome(*pair, max_len)
+
+
+@pytest.mark.parametrize("grammar", ["arithmetic_expr", "dyck2"])
+@pytest.mark.parametrize("seed", [73, 74, 75, 76])
+def test_learned_models_equal_the_enumeration(grammar, seed):
+    # the pinned balanced sets of test_rpni.py; both backends' pipeline
+    # models against the truth and against each other, and the raw DFA
+    # over the plain symbols against the truth
+    gt = builtin(grammar)
+    dataset = generate_dataset(gt, GenConfig(total=200, seed=seed, mode="balanced"))
+    rpni, _ = papni_learn(dataset, gt.alphabet, PapniConfig(backend="rpni"))
+    edsm, _ = papni_learn(dataset, gt.alphabet, PapniConfig(backend="edsm"))
+    for a, b in [(rpni, gt.vdpa), (gt.vdpa, edsm), (rpni, edsm), (rpni_learn(dataset), gt.vdpa)]:
+        _same_outcome(a, b, 8)
 
 
 class TestRenderDot:

@@ -212,6 +212,19 @@ class TestGenerate:
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["convert", "gt.aut", "--out", ""],
+        ["benchmark", "--grammars", "dyck1", "--repeats", "1", "--total", "20", "--out", ""],
+    ], ids=["convert", "benchmark"])
+    def test_other_commands_refuse_an_empty_out(self, tmp_path, monkeypatch, capsys, argv):
+        # one --out contract for every command: an empty path is no path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gt.aut").write_text(formats.dump_automaton(builtin("dyck1").vdpa))
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+        assert [p.name for p in tmp_path.iterdir()] == ["gt.aut"]
+
     def test_unknown_grammar(self, tmp_path, capsys):
         code = main(["generate", "--grammar", "bogus", "--out", str(tmp_path / "d.txt")])
         assert code == EXIT_INPUT
