@@ -253,11 +253,15 @@ def bounded_equivalence(a: Automaton, b: Automaton, max_len: int,
 
     Two VDPAs over the same internal/call/return split both reject every
     word that is not well-matched, so only well-matched words are searched
-    for them. One depth-first search per length, symbols in sorted order,
-    runs both models side by side over one shared stack of pending calls.
-    It skips a subtree where both runs are dead, and one whose
-    configuration (both states, the stack, the remaining length) an
-    earlier search showed to hold no difference.
+    for them. One breadth-first pass runs both models side by side over one
+    shared stack of pending calls. Layer n holds the words of length n in
+    lexicographic order: parents in order, then symbols in sorted order.
+    A configuration (both states, the stack) is kept only for the first
+    word that reaches it. A later word is longer, or as long and larger,
+    and has the same suffixes from there, so dropping it loses no earlier
+    difference. A move is dropped where both runs are dead, and for two
+    VDPAs where it pops an empty stack or leaves more calls open than the
+    symbols left can close.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
@@ -271,42 +275,30 @@ def bounded_equivalence(a: Automaton, b: Automaton, max_len: int,
                         for m in (a, b))
     pda_a, pda_b = isinstance(a, Vdpa), isinstance(b, Vdpa)
     dead = object()  # a run past an undefined move rejects every extension
-    settled: set = set()
-
-    def differ(qa: State, qb: State, stack: tuple[str, ...],
-               remaining: int) -> Optional[tuple[str, ...]]:
-        """The first suffix of exactly ``remaining`` symbols on which the
-        runs from here disagree, or None."""
-        if not remaining:
-            accept_a = qa in a.accepting and not (pda_a and stack)
-            accept_b = qb in b.accepting and not (pda_b and stack)
-            return () if accept_a != accept_b else None
-        if (qa, qb, stack, remaining) in settled:
-            return None
-        depth = len(stack)
-        for sym, delta in steps:
-            if alpha is not None and not 0 <= depth + delta < remaining:
-                continue
-            top, after = None, stack
-            if delta > 0:
-                after = stack + (sym,)
-            elif delta < 0:
-                # popping an empty stack looks up top None, which no return move has
-                top, after = stack[-1] if stack else None, stack[:-1]
-            na = moves_a.get((qa, sym, top if pda_a else None), dead)
-            nb = moves_b.get((qb, sym, top if pda_b else None), dead)
-            if na is dead and nb is dead:
-                continue
-            suffix = differ(na, nb, after, remaining - 1)
-            if suffix is not None:
-                return (sym,) + suffix
-        settled.add((qa, qb, stack, remaining))
-        return None
-
-    for length in range(max_len + 1):
-        word = differ(a.initial, b.initial, (), length)
-        if word is not None:
-            return word
+    start = (a.initial, b.initial, ())
+    layer, seen = [start + ((),)], {start}
+    for room in range(max_len, -1, -1):  # symbols that may follow this layer's words
+        children = []
+        for qa, qb, stack, word in layer:
+            if ((qa in a.accepting and not (pda_a and stack))
+                    != (qb in b.accepting and not (pda_b and stack))):
+                return word
+            for sym, delta in steps if room else ():
+                if alpha is not None and not 0 <= len(stack) + delta < room:
+                    continue
+                top, after = None, stack
+                if delta > 0:
+                    after = stack + (sym,)
+                elif delta < 0:
+                    # popping an empty stack looks up top None, which no return move has
+                    top, after = stack[-1] if stack else None, stack[:-1]
+                na = moves_a.get((qa, sym, top if pda_a else None), dead)
+                nb = moves_b.get((qb, sym, top if pda_b else None), dead)
+                if na is dead and nb is dead or (na, nb, after) in seen:
+                    continue
+                seen.add((na, nb, after))
+                children.append((na, nb, after, word + (sym,)))
+        layer = children
     return None
 
 

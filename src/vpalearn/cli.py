@@ -18,17 +18,17 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 import time
 from pathlib import Path
+from statistics import fmean, pstdev
 from typing import Optional, Sequence
 
 from . import benchgen, formats
 from .automata import AlphabetError, Vdpa, render_dot
 from .benchgen import GenConfig, GenerationError, GroundTruth, builtin
 from .papni import NoWellMatchedSamplesError, PapniConfig, papni_learn
-from .preprocess import DatasetError
+from .preprocess import DatasetError, is_well_matched
 from .rpni import edsm_learn, rpni_learn
 
 EXIT_OK = 0
@@ -185,24 +185,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .preprocess import is_well_matched
-
     dataset = _load(formats.parse_dataset, args.dataset, "dataset")
     alphabet = _load(formats.parse_alphabet, args.alphabet, "alphabet")
-    matched = unmatched = 0
+    matched = 0
     for sample in dataset:
         try:
             ok = is_well_matched(sample.word, alphabet)
         except AlphabetError as exc:
             raise _CliError(EXIT_INPUT, str(exc))
         matched += ok
-        unmatched += not ok
         mark = "+" if sample.label else "-"
         verdict = "well-matched" if ok else "not-well-matched"
         print(" ".join((mark,) + sample.word) + f" -> {verdict}")
     _manifest([("command", "check"), ("dataset", args.dataset),
                ("alphabet", args.alphabet), ("well_matched", matched),
-               ("not_well_matched", unmatched)], None)
+               ("not_well_matched", len(dataset) - matched)], None)
     return EXIT_OK
 
 
@@ -225,7 +222,7 @@ def cmd_benchmark(args) -> int:
     config = PapniConfig(backend=args.backend)
     learners = {"rpni": lambda train, alphabet: rpni_learn(train),
                 "papni": lambda train, alphabet: papni_learn(train, alphabet, config)[0]}
-    rows = []
+    records = []
     for gt in truths:
         runs: dict[str, list[tuple[float, int, float]]] = {name: [] for name in learners}
         # repeat r draws its data at seed + r, the schedule of acceptance criterion 3
@@ -245,16 +242,19 @@ def cmd_benchmark(args) -> int:
                 runs[name].append((benchgen.evaluate(model, evl).f1, model.size, elapsed))
         for name, results in runs.items():
             f1s, sizes, times = zip(*results)
-            rows.append((gt.name, name, statistics.fmean(f1s), statistics.pstdev(f1s),
-                         statistics.fmean(sizes), sum(times)))
-    print(f"{'grammar':<18} {'learner':<7} {'mean_f1':>8} {'std_f1':>8} {'mean_size':>10} {'time_s':>8}")
-    for grammar, name, mean_f1, std_f1, mean_size, wall in rows:
-        print(f"{grammar:<18} {name:<7} {mean_f1:>8.4f} {std_f1:>8.4f} {mean_size:>10.1f} {wall:>8.3f}")
+            records.append(dict(grammar=gt.name, learner=name, mean_f1=fmean(f1s), std_f1=pstdev(f1s),
+                                mean_model_size=fmean(sizes), wall_time_s=sum(times)))
+    # a record's fields: (report key, table header, column, table and report number formats)
+    fields = (("grammar", "grammar", "<18", "", ""), ("learner", "learner", "<7", "", ""),
+              ("mean_f1", "mean_f1", ">8", ".4f", ".6f"), ("std_f1", "std_f1", ">8", ".4f", ".6f"),
+              ("mean_model_size", "mean_size", ">10", ".1f", ".2f"),
+              ("wall_time_s", "time_s", ">8", ".3f", ".3f"))
+    print(" ".join(format(head, column) for _, head, column, _, _ in fields))
+    for rec in records:
+        print(" ".join(format(rec[key], column + num) for key, _, column, num, _ in fields))
     if args.out is not None:
-        _write(args.out, "\n\n".join(
-            f"grammar: {grammar}\nlearner: {name}\nmean_f1: {mean_f1:.6f}\n"
-            f"std_f1: {std_f1:.6f}\nmean_model_size: {mean_size:.2f}\nwall_time_s: {wall:.3f}"
-            for grammar, name, mean_f1, std_f1, mean_size, wall in rows) + "\n", "report")
+        report = ("".join(f"{key}: {rec[key]:{num}}\n" for key, *_, num in fields) for rec in records)
+        _write(args.out, "\n".join(report), "report")
     _manifest([("command", "benchmark"), ("grammars", ",".join(gt.name for gt in truths)),
                ("repeats", args.repeats), ("seed", args.seed),
                ("total", args.total), ("out", args.out or "-")], None)

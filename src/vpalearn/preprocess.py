@@ -40,7 +40,7 @@ class LabeledSample:
         object.__setattr__(self, "word", tuple(self.word))
         # the learners test `label is True`, so a 1 must become True here
         if type(self.label) is not bool:
-            if self.label not in (True, False):
+            if not isinstance(self.label, int) or self.label not in (0, 1):
                 raise ValueError(f"label must be a bool or 0/1, got {self.label!r}")
             object.__setattr__(self, "label", bool(self.label))
 

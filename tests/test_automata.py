@@ -283,7 +283,7 @@ class TestBoundedEquivalence:
     def test_lengths_beyond_enumeration(self, parens_gt):
         # about 6.5e9 well-matched words of length 40 over one bracket
         # pair, and 1,100 symbols are past Python's default recursion
-        # limit: both need the configurations memoized across lengths
+        # limit: both need each configuration visited once, without recursion
         assert bounded_equivalence(parens_gt.vdpa, parens_gt.vdpa, 40) is None
         a_star = Dfa(frozenset({"q"}), frozenset({"a"}), {("q", "a"): "q"}, "q", frozenset({"q"}))
         assert bounded_equivalence(a_star, a_star, 1100) is None
@@ -292,6 +292,15 @@ class TestBoundedEquivalence:
         witness = bounded_equivalence(parens_gt.vdpa, wider, 40)
         assert witness == W("( ) ( )")
         assert classify(parens_gt.vdpa, witness) != classify(wider, witness)
+
+    def test_deep_chain_without_recursion(self):
+        # one configuration per length, 1,199 symbols deep: a search that
+        # recursed once per symbol would pass Python's recursion limit
+        chain = Dfa(frozenset(range(1200)), frozenset({"a"}),
+                    {(i, "a"): i + 1 for i in range(1199)}, 0, frozenset({1199}))
+        empty = dataclasses.replace(chain, accepting=frozenset())
+        assert bounded_equivalence(chain, empty, 1100) is None
+        assert bounded_equivalence(chain, empty, 1300) == ("a",) * 1199
 
 
 @st.composite

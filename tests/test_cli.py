@@ -1,8 +1,10 @@
+import itertools
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -394,6 +396,37 @@ class TestBenchmark:
         text = out.read_text()
         assert text.count("grammar: dyck1") == 2
         assert "mean_f1:" in text
+
+    def test_table_and_report_bytes_are_pinned(self, tmp_path, monkeypatch, capsys):
+        # the k-th clock reading is k*k ms, so each learn call takes a
+        # different, known time and a swapped column shows in the pin
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks) ** 2 / 1000)
+        out = tmp_path / "report.txt"
+        code = main(["benchmark", "--grammars", "dyck1,dyck1_even", "--repeats", "2",
+                     "--total", "100", "--mode", "balanced", "--seed", "4", "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            "grammar            learner  mean_f1   std_f1  mean_size   time_s\n"
+            "dyck1              rpni      0.6961   0.0731       13.0    0.010\n"
+            "dyck1              papni     1.0000   0.0000        1.0    0.018\n"
+            "dyck1_even         rpni      0.7534   0.0334       15.5    0.042\n"
+            "dyck1_even         papni     1.0000   0.0000        1.0    0.050\n"
+            "command: benchmark\n"
+            "grammars: dyck1,dyck1_even\n"
+            "repeats: 2\n"
+            "seed: 4\n"
+            "total: 100\n"
+            f"out: {out}\n")
+        assert out.read_text() == (
+            "grammar: dyck1\nlearner: rpni\nmean_f1: 0.696091\nstd_f1: 0.073140\n"
+            "mean_model_size: 13.00\nwall_time_s: 0.010\n\n"
+            "grammar: dyck1\nlearner: papni\nmean_f1: 1.000000\nstd_f1: 0.000000\n"
+            "mean_model_size: 1.00\nwall_time_s: 0.018\n\n"
+            "grammar: dyck1_even\nlearner: rpni\nmean_f1: 0.753443\nstd_f1: 0.033443\n"
+            "mean_model_size: 15.50\nwall_time_s: 0.042\n\n"
+            "grammar: dyck1_even\nlearner: papni\nmean_f1: 1.000000\nstd_f1: 0.000000\n"
+            "mean_model_size: 1.00\nwall_time_s: 0.050\n")
 
     def test_comma_separated_grammars(self, tmp_path, capsys):
         code = main(["benchmark", "--grammars", "dyck1,dyck1_even",

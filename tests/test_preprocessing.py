@@ -50,7 +50,7 @@ class TestLabeledDataset:
         assert dfa_accepts(model, ("a",))
         assert not dfa_accepts(model, ("a", "a"))
 
-    @pytest.mark.parametrize("label", [2, -1, 0.5, "+", "True", None])
+    @pytest.mark.parametrize("label", [2, -1, 0.5, 1.0, 0.0, "+", "True", None])
     def test_other_labels_rejected(self, label):
         with pytest.raises(ValueError):
             LabeledSample(("a",), label)
