@@ -2,18 +2,18 @@
 
 A prefix tree acceptor (PTA) spans every training word; nodes carry a
 tri-state label (accepting / rejecting / unknown). Learning runs a red-blue
-loop over a union-find partition of PTA nodes: confirmed (red) blocks vs.
-frontier (blue) candidates, processed in shortlex order of their access
-strings. Every block is represented by its smallest node id, which is its
-shortlex-least node because ids are shortlex ranks; that order, the EDSM
-tie-break and the emitted state names all read the representative. A merge
-unions two blocks and then cascades determinization folds with an explicit
-work queue; it is rejected the moment a block would hold both an accepting
-and a rejecting node.
+loop over a union-find partition of PTA nodes. Every block is represented by
+its smallest node id, which is its shortlex-least node because ids are
+shortlex ranks; the candidate order and the emitted state names read the
+representative. A merge unions two blocks and then cascades determinization
+folds with an explicit work queue; it is rejected the moment a block would
+hold both an accepting and a rejecting node.
 
-Two candidate policies are provided: classic RPNI (first compatible merge
-in shortlex order) and EDSM (highest evidence score, counting same-label
-node pairs co-located by the fold).
+Two candidate policies are provided: classic RPNI and EDSM. The order in
+which each tries its candidates, and the pruning of the emitted model, are
+specified by ``reference_learn`` in ``tests/conftest.py``: a slow learner that
+re-folds every trial from scratch, whose models these must equal byte for
+byte.
 
 EDSM re-scores every (red, blue) pair each round, so it remembers the
 pairs that conflicted, by PTA node ids, and never tries them again. This is

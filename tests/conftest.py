@@ -4,6 +4,7 @@ automata, and independent oracles used to cross-check implementations."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Iterator, Optional, Sequence
 
 import pytest
@@ -227,3 +228,112 @@ def random_well_matched(rng: random.Random, alphabet: VpaAlphabet, max_len: int)
             depth -= 1
     word.extend(rng.choice(rets) for _ in range(depth) if rets)
     return tuple(word)
+
+
+# ------------------------------------------------------- reference learner
+
+
+def reference_learn(dataset: LabeledDataset, evidence: bool) -> Dfa:
+    """Red-blue state merging written to be read, not to be fast: the spec
+    of the candidate order that ``rpni_learn`` (``evidence`` False) and
+    ``edsm_learn`` (True) follow.
+
+    The prefix tree's nodes are the distinct prefixes of the words, numbered
+    in shortlex order. A partition is a plain node-to-block list, each block
+    named by its least node. A trial merge copies the list, joins two blocks,
+    then joins the targets of any two same-symbol edges that leave one block
+    until there are none, all from scratch with no undo log. It fails when a
+    block holds an accepting and a rejecting node.
+
+    Each round resolves the reds to their blocks and sorts them; the blues
+    are the non-red blocks that edges from red blocks reach, sorted.
+    - RPNI merges the least blue with the first red it is compatible with,
+      or else promotes it.
+    - EDSM tries every blue with every red, in order, scoring a merge by the
+      same-label node pairs that its blocks hold and the old ones did not.
+      The first blue with no compatible red is promoted and ends the round;
+      otherwise the pair with the least (-score, red, blue) merges.
+    The model keeps the root and every block reachable from it from which a
+    labeled block is reachable.
+    """
+    labels = {s.word: s.label for s in dataset}
+    prefixes = sorted({w[:i] for w in labels for i in range(len(w) + 1)},
+                      key=lambda w: (len(w), w))
+    rank = {w: i for i, w in enumerate(prefixes)}
+    edges = [(rank[w[:-1]], w[-1], rank[w]) for w in prefixes[1:]]
+    label = [labels.get(w) for w in prefixes]
+
+    def fold(block: list[int], x: int, y: int) -> Optional[list[int]]:
+        join: Optional[tuple[int, int]] = (block[x], block[y])
+        while join is not None:
+            low, high = sorted(join)
+            block = [low if b == high else b for b in block]
+            join = None
+            target: dict[tuple[int, str], int] = {}
+            for src, sym, dst in edges:
+                seen = target.setdefault((block[src], sym), block[dst])
+                if seen != block[dst]:
+                    join = (seen, block[dst])
+                    break
+        for b in set(block):
+            if {label[n] for n in range(len(block)) if block[n] == b} >= {True, False}:
+                return None
+        return block
+
+    def same_label_pairs(block: list[int]) -> int:
+        sizes = Counter((block[n], label[n]) for n in range(len(block)) if label[n] is not None)
+        return sum(c * (c - 1) // 2 for c in sizes.values())
+
+    block = list(range(len(prefixes)))
+    red = [0]
+    while True:
+        red = sorted({block[r] for r in red})
+        blues = sorted({block[dst] for src, _, dst in edges if block[src] in red} - set(red))
+        if not blues:
+            break
+        if not evidence:
+            for r in red:
+                merged = fold(block, r, blues[0])
+                if merged is not None:
+                    block = merged
+                    break
+            else:
+                red.append(blues[0])
+            continue
+        keys: list[tuple[int, int, int]] = []
+        for blue in blues:
+            compatible = [(same_label_pairs(block) - same_label_pairs(merged), r, blue)
+                          for r in red if (merged := fold(block, r, blue)) is not None]
+            if not compatible:
+                red.append(blue)
+                keys = []
+                break
+            keys += compatible
+        if keys:
+            _, r, blue = min(keys)
+            block = fold(block, r, blue)
+
+    step = {(block[src], sym): block[dst] for src, sym, dst in edges}
+
+    def reachable(start: int) -> set[int]:
+        found, todo = {start}, [start]
+        while todo:
+            b = todo.pop()
+            for (src, _), dst in step.items():
+                if src == b and dst not in found:
+                    found.add(dst)
+                    todo.append(dst)
+        return found
+
+    labeled = {block[n] for n in range(len(block)) if label[n] is not None}
+    root = block[0]
+    kept = {b for b in reachable(root) if reachable(b) & labeled} | {root}
+    return Dfa(
+        states=frozenset(kept),
+        alphabet=dataset.symbols(),
+        transitions={(src, sym): dst for (src, sym), dst in step.items()
+                     if src in kept and dst in kept},
+        initial=root,
+        accepting=frozenset(block[n] for n in range(len(block))
+                            if label[n] is True and block[n] in kept),
+    )

@@ -25,7 +25,7 @@ from vpalearn import (
 from vpalearn.formats import dump_automaton
 from vpalearn.rpni import MergeState, _blue_frontier, _emit_dfa
 
-from conftest import as_dataset, distinct_prefixes
+from conftest import as_dataset, distinct_prefixes, reference_learn
 
 
 def _random_dataset(rng, symbols, n, max_len):
@@ -319,6 +319,16 @@ _words = st.lists(st.sampled_from(["(", ")", "a", "ab", "b", "ret|call"]), max_s
 _shuffled_samples = st.dictionaries(_words, st.booleans(), min_size=1, max_size=30).flatmap(
     lambda pairs: st.lists(st.sampled_from(sorted(pairs.items())), max_size=10).flatmap(
         lambda again: st.permutations([LabeledSample(w, l) for w, l in [*pairs.items(), *again]])))
+
+
+@given(st.dictionaries(_words, st.booleans(), min_size=1, max_size=14).map(
+    lambda pairs: as_dataset(sorted(pairs.items()))))
+@settings(max_examples=300, deadline=None)
+def test_learners_equal_the_reference(dataset):
+    """Both learners emit, byte for byte, the model of the slow reference
+    learner in conftest, which states the candidate order they follow."""
+    assert dump_automaton(rpni_learn(dataset)) == dump_automaton(reference_learn(dataset, False))
+    assert dump_automaton(edsm_learn(dataset)) == dump_automaton(reference_learn(dataset, True))
 
 
 @given(_shuffled_samples)
