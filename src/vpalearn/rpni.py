@@ -9,11 +9,10 @@ representative. A merge unions two blocks and then cascades determinization
 folds with an explicit work queue; it is rejected the moment a block would
 hold both an accepting and a rejecting node.
 
-Two candidate policies are provided: classic RPNI and EDSM. The order in
-which each tries its candidates, and the pruning of the emitted model, are
-specified by ``reference_learn`` in ``tests/conftest.py``: a slow learner that
-re-folds every trial from scratch, whose models these must equal byte for
-byte.
+Two candidate policies are provided: classic RPNI and EDSM. Their candidate
+order and the pruning of the emitted model are specified by ``reference_learn``
+in ``tests/conftest.py``, a slow learner that re-folds every trial from scratch
+and whose models these equal byte for byte.
 
 EDSM re-scores every (red, blue) pair each round, so it remembers the
 pairs that conflicted, by PTA node ids, and never tries them again. This is
@@ -28,28 +27,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .automata import Dfa
 from .preprocess import DatasetError, LabeledDataset
 
-_ACC = True
-_REJ = False
-
 
 @dataclass
 class Pta:
-    """Prefix tree acceptor. Node 0 is the root; node ids are the shortlex
-    ranks of the access strings, so id order is shortlex order, and every
-    node's children dict lists its symbols in sorted order."""
+    """Prefix tree acceptor in flat lists. Node 0 is the root; ids are the
+    shortlex ranks of the access strings. With k = len(symbols), the sorted
+    alphabet, ``child[node * k + i]`` is the child on ``symbols[i]``, or 0 for
+    none (the root is nobody's child); ``label`` is True, False or None."""
 
-    children: list[dict[str, int]]
+    symbols: tuple[str, ...]
+    child: list[int]
     label: list[Optional[bool]]
-    alphabet: frozenset[str]
 
     @property
     def size(self) -> int:
-        return len(self.children)
+        return len(self.label)
 
 
 def build_pta(dataset: LabeledDataset) -> Pta:
@@ -60,21 +57,21 @@ def build_pta(dataset: LabeledDataset) -> Pta:
     counts the nodes of each depth, the other makes them.
     """
     samples = sorted(dataset, key=lambda s: s.word)
-    # In sorted order a word shares a prefix of some length k with the word
-    # before it and makes exactly the nodes at depths k+1..len(word); a
-    # difference array over those ranges counts the nodes of each depth.
+    # In sorted order a word shares a prefix of some length with the word
+    # before it and makes exactly the nodes below it, down to its own length;
+    # a difference array over those ranges counts the nodes of each depth.
     shared: list[int] = []
     delta = [0] * (max((len(s.word) for s in samples), default=0) + 2)
     prev: tuple[str, ...] = ()
     for sample in samples:
         word = sample.word
-        k = 0
+        common = 0
         for a, b in zip(prev, word):
             if a != b:
                 break
-            k += 1
-        shared.append(k)
-        delta[k + 1] += 1
+            common += 1
+        shared.append(common)
+        delta[common + 1] += 1
         delta[len(word) + 1] -= 1
         prev = word
     # Within one depth sorted order is lexicographic order of the prefixes,
@@ -85,48 +82,49 @@ def build_pta(dataset: LabeledDataset) -> Pta:
         width += delta[depth]
         next_id[depth] = size
         size += width
-    children: list[dict[str, int]] = [{} for _ in range(size)]
+    symbols = tuple(sorted(dataset.symbols()))
+    k = len(symbols)
+    column = {sym: i for i, sym in enumerate(symbols)}
+    child = [0] * (size * k)
     label: list[Optional[bool]] = [None] * size
     # last[d]: the latest node made at depth d, the current word's prefix
     last = [0] * len(delta)
-    for sample, k in zip(samples, shared):
+    for sample, common in zip(samples, shared):
         word = sample.word
-        node = last[k]
-        for depth, sym in enumerate(word[k:], k + 1):
+        node = last[common]
+        for depth, sym in enumerate(word[common:], common + 1):
             new = next_id[depth]
             next_id[depth] = new + 1
-            # sorted order hands every node its children in symbol order
-            children[node][sym] = new
+            child[node * k + column[sym]] = new
             last[depth] = node = new
         if label[node] is not None and label[node] != sample.label:
             raise DatasetError(f"conflicting labels for word {' '.join(word) or 'ε'!r}")
         label[node] = sample.label
-    return Pta(children, label, dataset.symbols())
+    return Pta(symbols, child, label)
 
 
 class MergeState:
     """Union-find partition of PTA nodes with rollbackable trial merges.
 
-    Block data (outgoing transitions, labeled-node counts) lives at
-    the representative, which is always the block's smallest node id: a
-    union keeps the smaller of the two representatives. find does no path
-    compression, so rollback only has to reset the absorbed parents.
+    Block data lives at the representative, always the block's smallest node
+    id: a union keeps the smaller one. ``child[rep * k + i]`` is a node that
+    the block moves to on ``symbols[i]`` (0: none). ``count[rep]`` is +n for
+    n accepting nodes and -n for n rejecting ones. A block never holds both,
+    so a negative product of two counts is a conflict, and any other product
+    counts the same-label pairs a union brings together (the EDSM evidence).
+    find does no path compression, so rollback only resets absorbed parents.
 
-    The merger consumes the PTA: it takes over ``pta.children`` and rewrites
-    those dicts as blocks merge, so the PTA's transitions are not valid
-    afterwards.
+    The merger consumes the PTA: it takes over ``pta.child`` and rewrites it.
     """
 
     def __init__(self, pta: Pta) -> None:
+        self.symbols = pta.symbols
         self.parent = list(range(pta.size))
-        self.children: list[dict[str, int]] = pta.children
-        # a block is accepting when it holds an accepting node, rejecting
-        # when it holds a rejecting node, and never both
-        self.acc_n = [1 if l is _ACC else 0 for l in pta.label]
-        self.rej_n = [1 if l is _REJ else 0 for l in pta.label]
-        # undo log for the trial in progress: an int is an absorbed
-        # representative, (rep, sym) is an added transition
-        self._log: list[int | tuple[int, str]] = []
+        self.child = pta.child
+        self.count = [0 if l is None else 1 if l else -1 for l in pta.label]
+        # undo log of the trial in progress, ints only: r > 0 is an absorbed
+        # representative, ~slot < 0 a transition added at child[slot]
+        self._log: list[int] = []
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -136,7 +134,9 @@ class MergeState:
 
     def block_transitions(self, rep: int) -> dict[str, int]:
         """Outgoing transitions of a block, targets resolved to reps."""
-        return {sym: self.find(dst) for sym, dst in self.children[rep].items()}
+        k = len(self.symbols)
+        row = self.child[rep * k:rep * k + k]
+        return {sym: self.find(dst) for sym, dst in zip(self.symbols, row) if dst}
 
     def trial_merge(self, a: int, b: int) -> Optional[int]:
         """Union the blocks of a and b and cascade determinization folds.
@@ -146,7 +146,8 @@ class MergeState:
         returns None on a label conflict.
         """
         # the hot loop of both learners: attributes bound to locals, find inlined
-        parent, children, acc_n, rej_n = self.parent, self.children, self.acc_n, self.rej_n
+        parent, child, count, k = self.parent, self.child, self.count, len(self.symbols)
+        columns = range(k)
         log = self._log
         log.clear()
         record = log.append
@@ -163,47 +164,46 @@ class MergeState:
                 continue
             if ry < rx:
                 rx, ry = ry, rx
-            ax, rjx, ay, rjy = acc_n[rx], rej_n[rx], acc_n[ry], rej_n[ry]
-            if ax and rjy or rjx and ay:
+            cx, cy = count[rx], count[ry]
+            pairs = cx * cy
+            if pairs < 0:
                 self.rollback()
                 return None
-            score += ax * ay + rjx * rjy
+            score += pairs
             # ry is absorbed into rx, the smaller representative
             record(ry)
             parent[ry] = rx
-            acc_n[rx] = ax + ay
-            rej_n[rx] = rjx + rjy
-            kids_x = children[rx]
-            for sym, dst in children[ry].items():
-                old = kids_x.get(sym)
-                if old is None:
-                    kids_x[sym] = dst
-                    record((rx, sym))
-                else:
-                    push((old, dst))
+            count[rx] = cx + cy
+            bx, by = rx * k, ry * k
+            for i in columns:
+                dst = child[by + i]
+                if dst:
+                    slot = bx + i
+                    old = child[slot]
+                    if old:
+                        push((old, dst))
+                    else:
+                        child[slot] = dst
+                        record(~slot)
         return score
 
     def commit(self) -> None:
         self._log.clear()
 
     def rollback(self) -> None:
-        parent, children, acc_n, rej_n = self.parent, self.children, self.acc_n, self.rej_n
+        parent, child, count = self.parent, self.child, self.count
         for entry in reversed(self._log):
-            if entry.__class__ is tuple:
-                rep, sym = entry
-                del children[rep][sym]
+            if entry < 0:
+                child[~entry] = 0
             else:
                 kept = parent[entry]
                 parent[entry] = entry
-                acc_n[kept] -= acc_n[entry]
-                rej_n[kept] -= rej_n[entry]
+                count[kept] -= count[entry]
         self._log.clear()
 
 
 def _blue_frontier(merger: MergeState, red: list[int]) -> list[int]:
-    redset = set(red)
-    blues = {t for r in red for t in merger.block_transitions(r).values()} - redset
-    return sorted(blues)
+    return sorted({t for r in red for t in merger.block_transitions(r).values()} - set(red))
 
 
 def _emit_dfa(merger: MergeState, alphabet: frozenset[str]) -> Dfa:
@@ -222,8 +222,8 @@ def _emit_dfa(merger: MergeState, alphabet: frozenset[str]) -> Dfa:
     for rep, kids in trans.items():
         for dst in kids.values():
             reverse[dst].add(rep)
-    acc_n, rej_n = merger.acc_n, merger.rej_n
-    useful = deque(rep for rep in trans if acc_n[rep] or rej_n[rep])
+    count = merger.count
+    useful = deque(rep for rep in trans if count[rep])
     kept = set(useful)
     while useful:
         rep = useful.popleft()
@@ -232,14 +232,9 @@ def _emit_dfa(merger: MergeState, alphabet: frozenset[str]) -> Dfa:
                 kept.add(src)
                 useful.append(src)
     kept.add(root)
-    transitions = {
-        (rep, sym): dst
-        for rep in kept
-        for sym, dst in trans[rep].items()
-        if dst in kept
-    }
-    accepting = frozenset(rep for rep in kept if acc_n[rep])
-    return Dfa(frozenset(kept), alphabet, transitions, root, accepting)
+    moves = {(rep, sym): dst for rep in kept for sym, dst in trans[rep].items() if dst in kept}
+    accepting = frozenset(rep for rep in kept if count[rep] > 0)
+    return Dfa(frozenset(kept), alphabet, moves, root, accepting)
 
 
 def _learn(dataset: LabeledDataset, use_evidence: bool) -> Dfa:
@@ -294,13 +289,12 @@ def _learn(dataset: LabeledDataset, use_evidence: bool) -> Dfa:
                 rejected.pop(orphan, None)
                 red.append(orphan)
             else:
-                assert best is not None
                 _, r, blue = best
                 rejected.pop(blue, None)
                 if merger.trial_merge(r, blue) is None:
                     raise AssertionError("previously compatible merge failed on replay")
                 merger.commit()
-    return _emit_dfa(merger, pta.alphabet)
+    return _emit_dfa(merger, frozenset(pta.symbols))
 
 
 def rpni_learn(dataset: LabeledDataset) -> Dfa:
@@ -309,6 +303,5 @@ def rpni_learn(dataset: LabeledDataset) -> Dfa:
 
 
 def edsm_learn(dataset: LabeledDataset) -> Dfa:
-    """Evidence-driven merging: highest-scoring compatible pair each round,
-    ties broken by shortlex (red access string, then blue)."""
+    """Evidence-driven merging: highest-scoring compatible pair, ties by shortlex red then blue."""
     return _learn(dataset, use_evidence=True)

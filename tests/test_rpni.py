@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -50,9 +51,12 @@ class TestBuildPta:
 
     def test_ids_are_shortlex(self):
         pta = build_pta(as_dataset([("ab", True), ("aa", False), ("b", True)]))
-        # shortlex over access strings: ε, a, b, aa, ab
-        assert pta.children[0] == {"a": 1, "b": 2}
-        assert pta.children[1] == {"a": 3, "b": 4}
+        # shortlex over access strings: ε, a, b, aa, ab; child[node * 2 + i]
+        # is the child on symbols[i], 0 for none
+        assert pta.symbols == ("a", "b")
+        assert pta.child[0:2] == [1, 2]
+        assert pta.child[2:4] == [3, 4]
+        assert pta.child[4:] == [0] * 6
         assert pta.label == [None, None, True, False, True]
 
     def test_interior_nodes_unlabeled(self, table1_dataset):
@@ -85,15 +89,11 @@ class TestMergeState:
     def test_rollback_restores_everything(self, table1_dataset):
         pta = build_pta(table1_dataset)
         merger = MergeState(pta)
-        snapshot = (
-            list(merger.parent), [dict(c) for c in merger.children],
-            list(merger.acc_n), list(merger.rej_n),
-        )
+        snapshot = (list(merger.parent), list(merger.child), list(merger.count))
         for blue in _blue_frontier(merger, [0]):
             if merger.trial_merge(0, blue) is not None:
                 merger.rollback()
-            assert (list(merger.parent), [dict(c) for c in merger.children],
-                    list(merger.acc_n), list(merger.rej_n)) == snapshot
+            assert (list(merger.parent), list(merger.child), list(merger.count)) == snapshot
 
     def test_conflicting_merge_returns_none(self):
         pta = build_pta(as_dataset([("a", True), ("b", False)]))
@@ -106,6 +106,26 @@ class TestMergeState:
         merger = MergeState(pta)
         score = merger.trial_merge(0, 1)
         assert score == 1  # one accepting node on each side
+
+
+def test_prefix_tree_and_learning_memory_per_node():
+    """Traced allocation peaks per prefix-tree node on criterion 4's seed-7
+    balanced_parens data at 12,500 words. The flat child and label lists keep
+    build_pta under 100 bytes a node and the whole rpni_learn under 150; a
+    dict of children per node took 227 and 283."""
+    dataset = generate_dataset(builtin("balanced_parens"), GenConfig(total=12500, seed=7))
+    peaks, results = [], []
+    for run in (build_pta, rpni_learn):
+        tracemalloc.start()
+        try:
+            results.append(run(dataset))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    nodes = results[0].size
+    assert nodes == 193407
+    assert peaks[0] / nodes < 100
+    assert peaks[1] / nodes < 150
 
 
 def _consistent(dfa, dataset):
@@ -345,13 +365,19 @@ def test_pta_ids_are_shortlex_ranks(samples):
     for w in prefixes[1:]:
         edges[rank[w[:-1]]][w[-1]] = rank[w]
     labels = {s.word: s.label for s in samples}
-    assert [list(kids.items()) for kids in pta.children] == [list(kids.items()) for kids in edges]
+    symbols = sorted({sym for s in samples for sym in s.word})
+    assert list(pta.symbols) == symbols
+    k = len(symbols)
+    # each node's edges, read off its row of child slots in symbol order
+    rows = [[(sym, pta.child[node * k + i]) for i, sym in enumerate(symbols) if pta.child[node * k + i]]
+            for node in range(pta.size)]
+    assert len(pta.child) == pta.size * k
+    assert rows == [list(kids.items()) for kids in edges]
     assert pta.label == [labels.get(w) for w in prefixes]
 
 
 def _merger_state(merger):
-    return (list(merger.parent),
-            [list(c.items()) for c in merger.children], list(merger.acc_n), list(merger.rej_n))
+    return list(merger.parent), list(merger.child), list(merger.count)
 
 
 @given(_small_datasets, st.data())
@@ -408,7 +434,8 @@ def _assert_counts_follow_labels(merger, pta_label):
         acc[rep] = acc.get(rep, 0) + (l is True)
         rej[rep] = rej.get(rep, 0) + (l is False)
     for rep in acc:
-        assert (merger.acc_n[rep], merger.rej_n[rep]) == (acc[rep], rej[rep])
+        # +n for n accepting nodes, -n for n rejecting ones
+        assert merger.count[rep] == acc[rep] - rej[rep]
         assert not (acc[rep] and rej[rep])
 
 
