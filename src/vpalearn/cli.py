@@ -76,6 +76,17 @@ def _write(path: str | Path, text: str, what: str, mode: str = "w") -> None:
         raise _CliError(EXIT_INPUT, f"cannot write {what} {str(path)!r}: {exc.strerror}")
 
 
+def _probe(*outputs: tuple[str | Path, str]) -> None:
+    """Find an unwritable (path, what) output before any work. Appending nothing
+    leaves a file as it is, and one the probe made goes again, so a failed run
+    leaves no output behind."""
+    for path, what in outputs:
+        existed = os.path.lexists(path)
+        _write(path, "", what, mode="a")
+        if not existed:
+            os.remove(path)
+
+
 def _load_dataset(path: str):
     dataset = _load(formats.parse_dataset, path, "dataset")
     if not dataset.samples:
@@ -104,6 +115,10 @@ def cmd_learn(args) -> int:
     for sym in dataset.symbols():
         if sym not in alphabet.symbols:
             raise _CliError(EXIT_INPUT, f"dataset symbol {sym!r} not in alphabet")
+    out = Path(args.out)
+    _probe((out, "model"))  # first: a path with no file name is refused as a directory
+    dot, manifest = (out.with_suffix(out.suffix + ext) for ext in (".dot", ".manifest"))
+    _probe((dot, "DOT file"), (manifest, "manifest"))
     report = None  # the raw DFA path filters nothing, so it has nothing to report
     try:
         if args.mode == "vdpa":
@@ -114,9 +129,8 @@ def cmd_learn(args) -> int:
         raise _CliError(EXIT_NO_SAMPLES, str(exc))
     except DatasetError as exc:
         raise _CliError(EXIT_CONFLICT, str(exc))
-    out = Path(args.out)
     _write(out, formats.dump_automaton(model), "model")
-    _write(out.with_suffix(out.suffix + ".dot"), render_dot(model), "DOT file")
+    _write(dot, render_dot(model), "DOT file")
     print(f"model size: {model.size}")
     entries = [("command", "learn"), ("dataset", args.dataset), ("alphabet", args.alphabet),
                ("backend", args.backend), ("mode", args.mode), ("output", str(out)),
@@ -126,7 +140,7 @@ def cmd_learn(args) -> int:
             print(line)
         entries += [("kept", report.kept), ("dropped_positive", report.dropped_positive),
                     ("dropped_negative", report.dropped_negative)]
-    _manifest(entries, out.with_suffix(out.suffix + ".manifest"))
+    _manifest(entries, manifest)
     return EXIT_OK
 
 
@@ -140,23 +154,22 @@ def cmd_generate(args) -> int:
     if not out.name:  # the split halves and the manifest are named after it
         raise _CliError(EXIT_INPUT, f"cannot write dataset {args.out!r}: not a file name")
     gt = _ground_truth(args)
+    outputs = ([out.with_suffix(out.suffix + half) for half in (".train", ".eval")]
+               if args.split else [out])
+    manifest = out.with_suffix(out.suffix + ".manifest")
+    _probe(*((path, "dataset") for path in outputs), (manifest, "manifest"))
     try:
         dataset = benchgen.generate_dataset(gt, cfg)
     except GenerationError as exc:
         raise _CliError(EXIT_GENERATION, str(exc))
-    outputs: list[Path] = []
+    halves = [dataset]
     if args.split:
         try:
-            train, evl = benchgen.split_dataset(dataset, seed=args.seed)
+            halves = benchgen.split_dataset(dataset, seed=args.seed)
         except ValueError as exc:
             raise _CliError(EXIT_GENERATION, f"cannot split: {exc}")
-        for part, suffix in ((train, ".train"), (evl, ".eval")):
-            path = out.with_suffix(out.suffix + suffix)
-            _write(path, formats.dump_dataset(part), "dataset")
-            outputs.append(path)
-    else:
-        _write(out, formats.dump_dataset(dataset), "dataset")
-        outputs.append(out)
+    for path, part in zip(outputs, halves):
+        _write(path, formats.dump_dataset(part), "dataset")
     positives = len(dataset.positives())
     _manifest(
         [("command", "generate"), ("grammar", gt.name), ("total", cfg.total),
@@ -164,7 +177,7 @@ def cmd_generate(args) -> int:
          ("mode", cfg.mode), ("positives", positives),
          ("negatives", len(dataset) - positives),
          ("outputs", " ".join(str(p) for p in outputs))],
-        out.with_suffix(out.suffix + ".manifest"))
+        manifest)
     return EXIT_OK
 
 
@@ -212,13 +225,7 @@ def cmd_benchmark(args) -> int:
     if not truths:
         raise _CliError(EXIT_INPUT, "no grammar names given")
     if args.out is not None:
-        # appending nothing finds an unwritable report path before the
-        # comparison runs and leaves an existing report as it is; a file the
-        # probe created goes again, so a failed run leaves no empty report
-        existed = os.path.lexists(args.out)
-        _write(args.out, "", "report", mode="a")
-        if not existed:
-            os.remove(args.out)
+        _probe((args.out, "report"))
     config = PapniConfig(backend=args.backend)
     learners = {"rpni": lambda train, alphabet: rpni_learn(train),
                 "papni": lambda train, alphabet: papni_learn(train, alphabet, config)[0]}

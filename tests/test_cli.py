@@ -161,6 +161,20 @@ class TestLearn:
         assert code == EXIT_INPUT
         assert "cannot write model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blocked, what", [
+        ("m.aut", "model"), ("m.aut.dot", "DOT file"), ("m.aut.manifest", "manifest"),
+    ])
+    def test_unwritable_output_leaves_no_output(self, tmp_path, capsys, blocked, what):
+        # every output is probed before learning, so none is left half written
+        data, alpha = write_worked_files(tmp_path)
+        (tmp_path / blocked).mkdir()
+        code = main(["learn", str(data), str(alpha), "--out", str(tmp_path / "m.aut")])
+        assert code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"error: cannot write {what} ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["alphabet.txt", "data.txt", blocked])
+
     def test_dfa_mode_reports_no_filtering(self, tmp_path, capsys):
         # two of the four words are not well-matched: only the pipeline drops them
         data = tmp_path / "d.txt"
@@ -270,6 +284,21 @@ class TestGenerate:
                      "--out", str(tmp_path / "nodir" / "x.txt")])
         assert code == EXIT_INPUT
         assert "cannot write dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split, blocked, what", [
+        (True, "d.txt.train", "dataset"), (True, "d.txt.eval", "dataset"),
+        (True, "d.txt.manifest", "manifest"), (False, "d.txt.manifest", "manifest"),
+    ])
+    def test_unwritable_output_leaves_no_output(self, tmp_path, capsys, split, blocked, what):
+        # every output is probed before generating, so none is left half written
+        (tmp_path / blocked).mkdir()
+        code = main(["generate", "--grammar", "dyck1", "--total", "20", "--mode", "balanced",
+                     *(["--split"] if split else []), "--out", str(tmp_path / "d.txt")])
+        assert code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith(f"error: cannot write {what} ")
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
 
     def test_automaton_without_symbols(self, tmp_path):
         model = tmp_path / "empty.aut"
