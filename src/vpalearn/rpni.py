@@ -57,9 +57,9 @@ def build_pta(dataset: LabeledDataset) -> Pta:
     counts the nodes of each depth, the other makes them.
     """
     samples = sorted(dataset, key=lambda s: s.word)
-    # In sorted order a word shares a prefix of some length with the word
-    # before it and makes exactly the nodes below it, down to its own length;
-    # a difference array over those ranges counts the nodes of each depth.
+    # In sorted order a word shares its first `common` symbols with the word
+    # before it and makes exactly the nodes at depths common+1..len(word); a
+    # difference array over those ranges counts the nodes of each depth.
     shared: list[int] = []
     delta = [0] * (max((len(s.word) for s in samples), default=0) + 2)
     prev: tuple[str, ...] = ()

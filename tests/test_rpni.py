@@ -112,7 +112,7 @@ def test_prefix_tree_and_learning_memory_per_node():
     """Traced allocation peaks per prefix-tree node on criterion 4's seed-7
     balanced_parens data at 12,500 words. The flat child and label lists keep
     build_pta under 100 bytes a node and the whole rpni_learn under 150; a
-    dict of children per node took 227 and 283."""
+    dict of children per node took about 228 and 284."""
     dataset = generate_dataset(builtin("balanced_parens"), GenConfig(total=12500, seed=7))
     peaks, results = [], []
     for run in (build_pta, rpni_learn):
