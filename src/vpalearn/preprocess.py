@@ -31,7 +31,7 @@ class TransformError(ValueError):
     """Word violates the well-matchedness precondition of the transform."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSample:
     word: Word
     label: bool

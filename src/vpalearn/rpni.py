@@ -112,14 +112,16 @@ class MergeState:
     n accepting nodes and -n for n rejecting ones. A block never holds both,
     so a negative product of two counts is a conflict, and any other product
     counts the same-label pairs a union brings together (the EDSM evidence).
-    find does no path compression, so rollback only resets absorbed parents.
+    A representative's ``parent`` is -1, one int shared by all; find does no
+    path compression, so rollback only resets absorbed parents to -1.
 
     The merger consumes the PTA: it takes over ``pta.child`` and rewrites it.
+    It reads ``pta.label`` into ``count`` and leaves it as it was.
     """
 
     def __init__(self, pta: Pta) -> None:
         self.symbols = pta.symbols
-        self.parent = list(range(pta.size))
+        self.parent = [-1] * pta.size
         self.child = pta.child
         self.count = [0 if l is None else 1 if l else -1 for l in pta.label]
         # undo log of the trial in progress, ints only: r > 0 is an absorbed
@@ -128,7 +130,7 @@ class MergeState:
 
     def find(self, x: int) -> int:
         parent = self.parent
-        while parent[x] != x:
+        while parent[x] >= 0:
             x = parent[x]
         return x
 
@@ -156,9 +158,9 @@ class MergeState:
         pop, push = queue.popleft, queue.append
         while queue:
             rx, ry = pop()
-            while parent[rx] != rx:
+            while parent[rx] >= 0:
                 rx = parent[rx]
-            while parent[ry] != ry:
+            while parent[ry] >= 0:
                 ry = parent[ry]
             if rx == ry:
                 continue
@@ -197,7 +199,7 @@ class MergeState:
                 child[~entry] = 0
             else:
                 kept = parent[entry]
-                parent[entry] = entry
+                parent[entry] = -1
                 count[kept] -= count[entry]
         self._log.clear()
 
@@ -238,8 +240,8 @@ def _emit_dfa(merger: MergeState, alphabet: frozenset[str]) -> Dfa:
 
 
 def _learn(dataset: LabeledDataset, use_evidence: bool) -> Dfa:
-    pta = build_pta(dataset)
-    merger = MergeState(pta)
+    # no name keeps the PTA, so its label list is freed before any merge
+    merger = MergeState(build_pta(dataset))
     red: list[int] = [0]
     # EDSM only: blue rep -> red reps whose merge with it conflicted.
     # The partition only coarsens, so a merge that conflicted once conflicts
@@ -294,7 +296,7 @@ def _learn(dataset: LabeledDataset, use_evidence: bool) -> Dfa:
                 if merger.trial_merge(r, blue) is None:
                     raise AssertionError("previously compatible merge failed on replay")
                 merger.commit()
-    return _emit_dfa(merger, frozenset(pta.symbols))
+    return _emit_dfa(merger, frozenset(merger.symbols))
 
 
 def rpni_learn(dataset: LabeledDataset) -> Dfa:

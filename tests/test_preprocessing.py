@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,48 @@ class TestLabeledDataset:
     def test_other_labels_rejected(self, label):
         with pytest.raises(ValueError):
             LabeledSample(("a",), label)
+
+
+class TestLabeledSample:
+    """A sample has slots: no __dict__ per instance, which a dataset of tens
+    of thousands of samples would pay for, and no attribute beyond its two
+    fields."""
+
+    def test_no_instance_dict(self):
+        sample = LabeledSample(("a",), True)
+        assert not hasattr(sample, "__dict__")
+        # frozen alone blocks `sample.weight = 1`; slots block it underneath
+        with pytest.raises(AttributeError):
+            object.__setattr__(sample, "weight", 1)
+
+    def test_frozen(self):
+        sample = LabeledSample(("a",), True)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.label = False
+        assert sample.label is True
+
+    def test_equality_hashing_and_coercion(self):
+        assert LabeledSample(["a", "b"], 1) == LabeledSample(("a", "b"), True)
+        assert hash(LabeledSample(["a", "b"], 1)) == hash(LabeledSample(("a", "b"), True))
+        assert LabeledSample(("a",), True) != LabeledSample(("a",), False)
+        assert len({LabeledSample(("a",), 0), LabeledSample(("a",), False)}) == 1
+        assert LabeledSample((), 0).label is False
+        assert LabeledSample((), 1).label is True
+        assert LabeledSample(["a"], True).word == ("a",)
+
+    def test_bytes_per_sample(self):
+        # words and the list made beforehand, so only the samples are traced;
+        # a sample takes 48 bytes; one with an instance dict took 90
+        words = [("a",) * (i % 7) for i in range(2000)]
+        samples = [None] * len(words)
+        tracemalloc.start()
+        try:
+            for i, word in enumerate(words):
+                samples[i] = LabeledSample(word, i % 2 == 0)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert traced / len(samples) < 72
 
 
 class TestIsWellMatched:
