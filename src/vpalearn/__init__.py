@@ -8,6 +8,7 @@ from .automata import (
     Reason,
     Vdpa,
     VpaAlphabet,
+    acceptor,
     bounded_equivalence,
     classify,
     dfa_accepts,

@@ -17,7 +17,7 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Optional, Sequence, Union
+from typing import Callable, Hashable, Iterator, Optional, Sequence, Union
 
 State = Hashable
 Word = Sequence[str]
@@ -225,17 +225,48 @@ def vdpa_accepts(vdpa: Vdpa, word: Word) -> Reason:
     return Reason.ACCEPTED if state in vdpa.accepting else Reason.REJECTED_AT_STATE
 
 
+def acceptor(model: Automaton) -> Callable[[Word], bool]:
+    """The model's boolean verdict as a function of the word, its edges read
+    once: one dict of moves per state, internal and call moves keyed by the
+    symbol, return moves by ``(return, popped call)``. A missing move, a
+    symbol outside the alphabet, a pop from an empty stack and calls left
+    open all reject. A DFA has no calls or returns, so its run never stacks.
+    States are numbered, so a step indexes a list and then a dict."""
+    number = {state: i for i, state in enumerate(model.states)}
+    moves: list[dict] = [{} for _ in number]
+    for _, src, sym, top, dst in edges(model):
+        moves[number[src]][sym if top is None else (sym, top)] = number[dst]
+    accepting = [state in model.accepting for state in number]
+    initial = number[model.initial]
+    split = model.alphabet if isinstance(model, Vdpa) else VpaAlphabet()
+    calls, rets = split.call, split.ret
+
+    def accepts(word: Word) -> bool:
+        state, stack = initial, []
+        try:
+            for sym in word:
+                if sym in rets:
+                    if not stack:
+                        return False
+                    state = moves[state][sym, stack.pop()]
+                else:
+                    if sym in calls:
+                        stack.append(sym)
+                    state = moves[state][sym]
+        except KeyError:  # no move for this symbol, foreign or not
+            return False
+        return not stack and accepting[state]
+
+    return accepts
+
+
 def classify(model: Automaton, word: Word) -> bool:
     """Boolean verdict; out-of-alphabet symbols reject instead of raising.
 
     Evaluation sets may contain symbols a learned partial model never saw.
+    To classify many words, build ``acceptor(model)`` once instead.
     """
-    try:
-        if isinstance(model, Dfa):
-            return dfa_accepts(model, word)
-        return vdpa_accepts(model, word).accepted
-    except AlphabetError:
-        return False
+    return acceptor(model)(word)
 
 
 def model_symbols(model: Automaton) -> frozenset[str]:

@@ -11,7 +11,8 @@ import random
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .automata import Automaton, Dfa, Vdpa, VpaAlphabet, classify, edges, vdpa_accepts
+# classify is unused here but stays importable: bench/spans.py rebinds benchgen.classify
+from .automata import Automaton, Dfa, Vdpa, VpaAlphabet, acceptor, classify, edges  # noqa: F401
 from .papni import dfa_to_vdpa
 from .preprocess import LabeledDataset, LabeledSample, Word
 
@@ -280,11 +281,12 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
     """
     rng = random.Random(cfg.seed)
     symbols = sorted(gt.alphabet.symbols)
+    accepts = acceptor(gt.vdpa)
     if cfg.mode == "uniform":
         samples = []
         for _ in range(cfg.total):
             word = _uniform_word(rng, symbols, cfg)
-            samples.append(LabeledSample(word, vdpa_accepts(gt.vdpa, word).accepted))
+            samples.append(LabeledSample(word, accepts(word)))
         return LabeledDataset(samples)
     n_pos = cfg.total // 2 + cfg.total % 2
     n_neg = cfg.total - n_pos
@@ -307,7 +309,7 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
             raise GenerationError(f"could not sample {n_neg} distinct rejected words from {gt.name!r}")
         budget -= 1
         word = _uniform_word(rng, symbols, cfg)
-        if word not in positives and not vdpa_accepts(gt.vdpa, word).accepted:
+        if word not in positives and not accepts(word):
             negatives.add(word)
     samples = [LabeledSample(w, True) for w in sorted(positives)]
     samples += [LabeledSample(w, False) for w in sorted(negatives)]
@@ -344,9 +346,10 @@ def evaluate(model: Automaton, dataset: LabeledDataset) -> EvalMetrics:
     """Classify every sample and tally precision, recall and F1."""
     if not dataset.samples:
         raise ValueError("evaluation dataset is empty")
+    accepts = acceptor(model)
     tp = fp = fn = tn = 0
     for sample in dataset:
-        predicted = classify(model, sample.word)
+        predicted = accepts(sample.word)
         if predicted and sample.label:
             tp += 1
         elif predicted and not sample.label:

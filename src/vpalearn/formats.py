@@ -110,11 +110,12 @@ def parse_automaton(text: str) -> Automaton:
         raise FormatError("second line must be 'initial: <state>'")
     if not acc_line.startswith("accepting:"):
         raise FormatError("third line must be 'accepting: <state> ...'")
-    initial_toks = init_line.split()[1:]
+    # the states follow the colon, with or without a space
+    initial_toks = init_line.partition(":")[2].split()
     if len(initial_toks) != 1:
         raise FormatError("initial line must name exactly one state")
     initial = initial_toks[0]
-    accepting = set(acc_line.split()[1:])
+    accepting = set(acc_line.partition(":")[2].split())
     states = {initial} | accepting
     comments = _comment_alphabet(text)
 

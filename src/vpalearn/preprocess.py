@@ -104,10 +104,13 @@ class PreprocessReport:
         return out
 
 
-def _rewrite(word: Sequence[str], alphabet: VpaAlphabet) -> Optional[Word]:
+def _rewrite(word: Sequence[str], alphabet: VpaAlphabet,
+             symbols: frozenset[str]) -> Optional[Word]:
     """One stack walk: the word over the extended alphabet, each return fused
     with the call it pops, or ``None`` if the word pops an empty stack or
-    leaves a call open. A symbol outside the alphabet raises ``AlphabetError``."""
+    leaves a call open. ``symbols`` is the alphabet's symbol set; a symbol
+    outside it raises ``AlphabetError`` naming the first one, wherever it
+    stands, also after an empty pop."""
     internal, call, ret = alphabet.internal, alphabet.call, alphabet.ret
     out: list[str] = []
     stack: list[str] = []
@@ -117,24 +120,33 @@ def _rewrite(word: Sequence[str], alphabet: VpaAlphabet) -> Optional[Word]:
             out.append(sym)
         elif sym in ret:
             if not stack:
+                if not symbols.issuperset(word):
+                    raise _foreign(word, symbols)
                 return None
             out.append(make_return_pair(sym, stack.pop()))
         elif sym in internal:
             out.append(sym)
         else:
-            raise AlphabetError(f"symbol {sym!r} not in alphabet")
+            raise _foreign(word, symbols)
     return None if stack else tuple(out)
 
 
+def _foreign(word: Sequence[str], symbols: frozenset[str]) -> AlphabetError:
+    """The error that names the word's first symbol outside ``symbols``."""
+    sym = next(sym for sym in word if sym not in symbols)
+    return AlphabetError(f"symbol {sym!r} not in alphabet")
+
+
 def is_well_matched(word: Sequence[str], alphabet: VpaAlphabet) -> bool:
-    """No return pops an empty stack and no call is left open."""
-    return _rewrite(word, alphabet) is not None
+    """No return pops an empty stack and no call is left open. A symbol
+    outside the alphabet raises ``AlphabetError``."""
+    return _rewrite(word, alphabet, alphabet.symbols) is not None
 
 
 def to_stack_aware(word: Sequence[str], alphabet: VpaAlphabet) -> Word:
     """Rewrite a well-matched word over the extended alphabet; any other
     word raises ``TransformError``."""
-    rewritten = _rewrite(word, alphabet)
+    rewritten = _rewrite(word, alphabet, alphabet.symbols)
     if rewritten is None:
         raise TransformError(f"word {' '.join(word)!r} is not well-matched")
     return rewritten
@@ -148,11 +160,13 @@ def from_stack_aware(word: Sequence[str]) -> Word:
 
 def preprocess_dataset(dataset: LabeledDataset, alphabet: VpaAlphabet,
                        ) -> tuple[LabeledDataset, PreprocessReport]:
-    """Drop non-well-matched samples and rewrite the rest, labels unchanged."""
+    """Drop non-well-matched samples and rewrite the rest, labels unchanged.
+    A symbol outside the alphabet raises ``AlphabetError``."""
     report = PreprocessReport()
     kept: list[LabeledSample] = []
+    symbols = alphabet.symbols
     for sample in dataset:
-        rewritten = _rewrite(sample.word, alphabet)
+        rewritten = _rewrite(sample.word, alphabet, symbols)
         if rewritten is not None:
             kept.append(LabeledSample(rewritten, sample.label))
         elif sample.label:

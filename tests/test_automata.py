@@ -16,6 +16,7 @@ from vpalearn import (
     Reason,
     Vdpa,
     VpaAlphabet,
+    acceptor,
     bounded_equivalence,
     builtin,
     classify,
@@ -27,7 +28,7 @@ from vpalearn import (
     rpni_learn,
     vdpa_accepts,
 )
-from vpalearn.automata import canonical_names, edges
+from vpalearn.automata import canonical_names, edges, model_symbols
 
 from conftest import (as_dataset, oracle_bounded_equivalence, oracle_dfa_walk,
                       oracle_vdpa_reason, oracle_well_matched)
@@ -135,6 +136,44 @@ def test_edges_list_each_transition_once_with_its_kind(model):
     else:
         assert tables == {"internal": model.internal_trans, "call": model.call_trans,
                           "return": model.return_trans}
+
+
+@st.composite
+def _models_and_words(draw):
+    """A small random model, a built-in, or a model learned from a built-in's
+    words; then words over its symbols, a foreign token and a ``ret|call``
+    token, the empty word first."""
+    source = draw(st.sampled_from(["small", "builtin", "learned"]))
+    if source == "small":
+        model = draw(_small_models())
+    else:
+        gt = builtin(draw(st.sampled_from(BUILTIN_NAMES)))
+        model = gt.vdpa
+        if source == "learned":
+            own = st.lists(st.sampled_from(sorted(gt.alphabet.symbols)), max_size=10).map(tuple)
+            train = draw(st.dictionaries(own, st.booleans(), min_size=1, max_size=12))
+            try:
+                model = papni_learn(as_dataset(sorted(train.items())), gt.alphabet)[0]
+            except NoWellMatchedSamplesError:
+                pass
+    symbols = sorted(model_symbols(model) | {"foreign", ")|("})
+    words = st.lists(st.sampled_from(symbols), max_size=10).map(tuple)
+    return model, [()] + draw(st.lists(words, min_size=1, max_size=8))
+
+
+@given(_models_and_words())
+@settings(max_examples=300, deadline=None)
+def test_acceptor_agrees_with_the_oracles(case):
+    # a missing move, a foreign symbol, an empty pop and open calls reject
+    model, words = case
+    accepts = acceptor(model)
+    for word in words:
+        if isinstance(model, Dfa):
+            expected = oracle_dfa_walk(model, word)
+        else:
+            expected = oracle_vdpa_reason(model, word) == "Accepted"
+        assert accepts(word) is expected, word
+        assert classify(model, word) is expected, word
 
 
 class TestDfaAccepts:

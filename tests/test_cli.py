@@ -405,12 +405,14 @@ class TestCheck:
         assert "well_matched: 0" in capsys.readouterr().out
 
     def test_symbol_outside_alphabet(self, tmp_path, capsys):
-        data = tmp_path / "d.txt"
-        data.write_text("+ ( x )\n")
         alpha = tmp_path / "alphabet.txt"
         alpha.write_text(PAREN_ALPHABET)
-        assert main(["check", str(data), str(alpha)]) == EXIT_INPUT
-        assert "'x'" in capsys.readouterr().err
+        data = tmp_path / "d.txt"
+        # the second word pops an empty stack before its foreign symbol
+        for line in ("+ ( x )\n", "+ ) x\n"):
+            data.write_text(line)
+            assert main(["check", str(data), str(alpha)]) == EXIT_INPUT, line
+            assert "'x'" in capsys.readouterr().err
 
 
 class TestBenchmark:

@@ -59,6 +59,15 @@ class TestAutomatonFormat:
         model = parse_automaton(text)
         assert model.initial == "s0" and model.accepting == frozenset({"s0"})
 
+    @pytest.mark.parametrize("spaced", [
+        "dfa\ninitial: s0\naccepting: s0 s1\ns0 a -> s1\n",
+        "dfa\ninitial: s0\naccepting: s1\ns0 a -> s1\n",
+        "vdpa\ninitial: s0\naccepting: s0\ns0 ( push -> s1\ns1 ) pop ( -> s0\n",
+    ])
+    def test_no_space_after_the_colon(self, spaced):
+        unspaced = spaced.replace("initial: ", "initial:").replace("accepting: ", "accepting:")
+        assert parse_automaton(unspaced) == parse_automaton(spaced)
+
     @pytest.mark.parametrize("text", [
         "",
         "nfa\ninitial: s0\naccepting:\n",

@@ -129,9 +129,11 @@ class TestPapniLearn:
 
     @pytest.mark.parametrize("alpha", _ALPHABETS, ids=["internal_only", "call_return"])
     def test_foreign_dataset_symbol(self, alpha):
-        ds = as_dataset([("ab", True), ("abx", False)])
-        with pytest.raises(AlphabetError):
-            papni_learn(ds, alpha)
+        # "cx": with call_return, c pops an empty stack before the foreign x
+        for foreign in ("abx", "cx"):
+            ds = as_dataset([("ab", True), (foreign, False)])
+            with pytest.raises(AlphabetError, match="'[cx]'"):
+                papni_learn(ds, alpha)
 
     @pytest.mark.parametrize("alpha", _ALPHABETS, ids=["internal_only", "call_return"])
     def test_empty_dataset(self, alpha):
