@@ -186,60 +186,58 @@ def _check_states(model: Automaton) -> None:
             raise ValueError(f"transition ({src!r}, {sym!r}) -> {dst!r} leaves the state set")
 
 
-def dfa_accepts(dfa: Dfa, word: Word) -> bool:
-    """Run the word; a missing transition rejects (partial-DFA convention)."""
-    state = dfa.initial
-    for sym in word:
-        if sym not in dfa.alphabet:
-            raise AlphabetError(f"symbol {sym!r} not in DFA alphabet")
-        nxt = dfa.transitions.get((state, sym))
-        if nxt is None:
-            return False
-        state = nxt
-    return state in dfa.accepting
+def _compile(model: Automaton) -> tuple[list[dict], list[bool], int, frozenset, frozenset]:
+    """The model's run table, its edges read once: one dict of moves per
+    numbered state, internal and call moves keyed by the symbol, return moves
+    by ``(return, popped call)``, and a last number for a rejecting sink with
+    no moves. Also the accepting flags, the initial number and the call and
+    return sets, which a DFA leaves empty, so its run never stacks."""
+    number = {state: i for i, state in enumerate(model.states)}
+    moves: list[dict] = [{} for _ in range(len(number) + 1)]
+    for _, src, sym, top, dst in edges(model):
+        moves[number[src]][sym if top is None else (sym, top)] = number[dst]
+    accepting = [state in model.accepting for state in number] + [False]
+    split = model.alphabet if isinstance(model, Vdpa) else VpaAlphabet()
+    return moves, accepting, number[model.initial], split.call, split.ret
 
 
-def vdpa_accepts(vdpa: Vdpa, word: Word) -> Reason:
-    """Simulate the word with an explicit stack of call symbols; an
-    undefined transition ends the run, so the stack may change before it."""
-    internal, call, ret = vdpa.alphabet.internal, vdpa.alphabet.call, vdpa.alphabet.ret
-    state = vdpa.initial
+def vdpa_accepts(model: Automaton, word: Word) -> Reason:
+    """Run the word with an explicit stack of call symbols and return the
+    ``Reason`` it ends with. An undefined move ends the run, so the stack
+    may change before it; a symbol outside the alphabet raises
+    ``AlphabetError`` when the run reaches it."""
+    moves, accepting, state, calls, rets = _compile(model)
     stack: list[str] = []
     for sym in word:
-        if sym in internal:
-            nxt = vdpa.internal_trans.get((state, sym))
-        elif sym in call:
-            nxt = vdpa.call_trans.get((state, sym))
-            stack.append(sym)
-        elif sym in ret:
+        if sym in rets:
             if not stack:
                 return Reason.POP_FROM_EMPTY_STACK
-            nxt = vdpa.return_trans.get((state, sym, stack.pop()))
+            nxt = moves[state].get((sym, stack.pop()))
         else:
-            raise AlphabetError(f"symbol {sym!r} not in alphabet")
-        if nxt is None:
+            if sym in calls:
+                stack.append(sym)
+            nxt = moves[state].get(sym)
+        if nxt is None:  # no symbol outside the alphabet has a move
+            if sym not in model_symbols(model):
+                raise AlphabetError(f"symbol {sym!r} not in alphabet")
             return Reason.UNDEFINED_TRANSITION
         state = nxt
     if stack:
         return Reason.NON_EMPTY_STACK_AT_END
-    return Reason.ACCEPTED if state in vdpa.accepting else Reason.REJECTED_AT_STATE
+    return Reason.ACCEPTED if accepting[state] else Reason.REJECTED_AT_STATE
+
+
+def dfa_accepts(dfa: Dfa, word: Word) -> bool:
+    """Run the word; a missing transition rejects (partial-DFA convention)."""
+    return vdpa_accepts(dfa, word).accepted
 
 
 def acceptor(model: Automaton) -> Callable[[Word], bool]:
-    """The model's boolean verdict as a function of the word, its edges read
-    once: one dict of moves per state, internal and call moves keyed by the
-    symbol, return moves by ``(return, popped call)``. A missing move, a
-    symbol outside the alphabet, a pop from an empty stack and calls left
-    open all reject. A DFA has no calls or returns, so its run never stacks.
-    States are numbered, so a step indexes a list and then a dict."""
-    number = {state: i for i, state in enumerate(model.states)}
-    moves: list[dict] = [{} for _ in number]
-    for _, src, sym, top, dst in edges(model):
-        moves[number[src]][sym if top is None else (sym, top)] = number[dst]
-    accepting = [state in model.accepting for state in number]
-    initial = number[model.initial]
-    split = model.alphabet if isinstance(model, Vdpa) else VpaAlphabet()
-    calls, rets = split.call, split.ret
+    """The model's boolean verdict as a function of the word, its run table
+    compiled once. A missing move, a symbol outside the alphabet, a pop from
+    an empty stack and calls left open all reject. A step indexes a list
+    and then a dict."""
+    moves, accepting, initial, calls, rets = _compile(model)
 
     def accepts(word: Word) -> bool:
         state, stack = initial, []
@@ -284,48 +282,47 @@ def bounded_equivalence(a: Automaton, b: Automaton, max_len: int,
 
     Two VDPAs over the same internal/call/return split both reject every
     word that is not well-matched, so only well-matched words are searched
-    for them. One breadth-first pass runs both models side by side over one
-    shared stack of pending calls. Layer n holds the words of length n in
-    lexicographic order: parents in order, then symbols in sorted order.
-    A configuration (both states, the stack) is kept only for the first
-    word that reaches it. A later word is longer, or as long and larger,
-    and has the same suffixes from there, so dropping it loses no earlier
-    difference. A move is dropped where both runs are dead, and for two
-    VDPAs where it pops an empty stack or leaves more calls open than the
-    symbols left can close.
+    for them. One breadth-first pass runs both compiled models side by side
+    over one shared stack of pending calls; a run past an undefined move is
+    in its sink. Layer n holds the words of length n in lexicographic order:
+    parents in order, then symbols in sorted order. A configuration (both
+    states, the stack) is kept only for the first word that reaches it. A
+    later word is longer, or as long and larger, and has the same suffixes
+    from there, so dropping it loses no earlier difference. A move is
+    dropped where both runs are in their sinks, and for two VDPAs where it
+    pops an empty stack or opens more calls than the symbols left can close.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     alpha = a.alphabet if isinstance(a, Vdpa) and isinstance(b, Vdpa) else None
     if model_symbols(a) != model_symbols(b) or (alpha is not None and b.alphabet != alpha):
         raise AlphabetError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
+    moves_a, acc_a, init_a, calls_a, rets_a = _compile(a)
+    moves_b, acc_b, init_b, calls_b, rets_b = _compile(b)
+    sink_a, sink_b = len(moves_a) - 1, len(moves_b) - 1
     # the stack follows the pushdown model's split; a DFA never reads it
-    split = next((m.alphabet for m in (a, b) if isinstance(m, Vdpa)), VpaAlphabet())
-    steps = [(sym, (sym in split.call) - (sym in split.ret)) for sym in sorted(model_symbols(a))]
-    moves_a, moves_b = ({(src, sym, top): dst for _, src, sym, top, dst in edges(m)}
-                        for m in (a, b))
-    pda_a, pda_b = isinstance(a, Vdpa), isinstance(b, Vdpa)
-    dead = object()  # a run past an undefined move rejects every extension
-    start = (a.initial, b.initial, ())
+    pda_a, pda_b = bool(rets_a), bool(rets_b)
+    calls, rets = calls_a | calls_b, rets_a | rets_b
+    steps = [(sym, (sym in calls) - (sym in rets)) for sym in sorted(model_symbols(a))]
+    start = (init_a, init_b, ())
     layer, seen = [start + ((),)], {start}
     for room in range(max_len, -1, -1):  # symbols that may follow this layer's words
         children = []
         for qa, qb, stack, word in layer:
-            if ((qa in a.accepting and not (pda_a and stack))
-                    != (qb in b.accepting and not (pda_b and stack))):
+            if (acc_a[qa] and not (pda_a and stack)) != (acc_b[qb] and not (pda_b and stack)):
                 return word
             for sym, delta in steps if room else ():
                 if alpha is not None and not 0 <= len(stack) + delta < room:
                     continue
-                top, after = None, stack
+                key, after = sym, stack
                 if delta > 0:
                     after = stack + (sym,)
                 elif delta < 0:
                     # popping an empty stack looks up top None, which no return move has
-                    top, after = stack[-1] if stack else None, stack[:-1]
-                na = moves_a.get((qa, sym, top if pda_a else None), dead)
-                nb = moves_b.get((qb, sym, top if pda_b else None), dead)
-                if na is dead and nb is dead or (na, nb, after) in seen:
+                    key, after = (sym, stack[-1] if stack else None), stack[:-1]
+                na = moves_a[qa].get(key if pda_a else sym, sink_a)
+                nb = moves_b[qb].get(key if pda_b else sym, sink_b)
+                if na == sink_a and nb == sink_b or (na, nb, after) in seen:
                     continue
                 seen.add((na, nb, after))
                 children.append((na, nb, after, word + (sym,)))

@@ -104,13 +104,14 @@ class PreprocessReport:
         return out
 
 
-def _rewrite(word: Sequence[str], alphabet: VpaAlphabet,
-             symbols: frozenset[str]) -> Optional[Word]:
+def _rewrite(word: Sequence[str], alphabet: VpaAlphabet, symbols: frozenset[str],
+             pairs: dict[tuple[str, str], str]) -> Optional[Word]:
     """One stack walk: the word over the extended alphabet, each return fused
     with the call it pops, or ``None`` if the word pops an empty stack or
     leaves a call open. ``symbols`` is the alphabet's symbol set; a symbol
     outside it raises ``AlphabetError`` naming the first one, wherever it
-    stands, also after an empty pop."""
+    stands, also after an empty pop. ``pairs`` memoizes each ``ret|call``
+    token, so the words rewritten with one dict share one string per pair."""
     internal, call, ret = alphabet.internal, alphabet.call, alphabet.ret
     out: list[str] = []
     stack: list[str] = []
@@ -123,7 +124,8 @@ def _rewrite(word: Sequence[str], alphabet: VpaAlphabet,
                 if not symbols.issuperset(word):
                     raise _foreign(word, symbols)
                 return None
-            out.append(make_return_pair(sym, stack.pop()))
+            key = (sym, stack.pop())
+            out.append(pairs.get(key) or pairs.setdefault(key, make_return_pair(*key)))
         elif sym in internal:
             out.append(sym)
         else:
@@ -140,13 +142,13 @@ def _foreign(word: Sequence[str], symbols: frozenset[str]) -> AlphabetError:
 def is_well_matched(word: Sequence[str], alphabet: VpaAlphabet) -> bool:
     """No return pops an empty stack and no call is left open. A symbol
     outside the alphabet raises ``AlphabetError``."""
-    return _rewrite(word, alphabet, alphabet.symbols) is not None
+    return _rewrite(word, alphabet, alphabet.symbols, {}) is not None
 
 
 def to_stack_aware(word: Sequence[str], alphabet: VpaAlphabet) -> Word:
     """Rewrite a well-matched word over the extended alphabet; any other
     word raises ``TransformError``."""
-    rewritten = _rewrite(word, alphabet, alphabet.symbols)
+    rewritten = _rewrite(word, alphabet, alphabet.symbols, {})
     if rewritten is None:
         raise TransformError(f"word {' '.join(word)!r} is not well-matched")
     return rewritten
@@ -164,9 +166,9 @@ def preprocess_dataset(dataset: LabeledDataset, alphabet: VpaAlphabet,
     A symbol outside the alphabet raises ``AlphabetError``."""
     report = PreprocessReport()
     kept: list[LabeledSample] = []
-    symbols = alphabet.symbols
+    symbols, pairs = alphabet.symbols, {}
     for sample in dataset:
-        rewritten = _rewrite(sample.word, alphabet, symbols)
+        rewritten = _rewrite(sample.word, alphabet, symbols, pairs)
         if rewritten is not None:
             kept.append(LabeledSample(rewritten, sample.label))
         elif sample.label:

@@ -176,6 +176,35 @@ def test_acceptor_agrees_with_the_oracles(case):
         assert classify(model, word) is expected, word
 
 
+@given(_models_and_words())
+@settings(max_examples=300, deadline=None)
+def test_reason_run_agrees_with_the_oracles(case):
+    # a foreign symbol raises only when the run reaches it: an empty pop or
+    # a missing move before it ends the run with its verdict
+    model, words = case
+    for word in words:
+        if isinstance(model, Vdpa):
+            expected = oracle_vdpa_reason(model, word)
+            if expected is None:
+                with pytest.raises(AlphabetError):
+                    vdpa_accepts(model, word)
+            else:
+                assert vdpa_accepts(model, word) is Reason(expected), word
+            continue
+        foreign = [i for i, sym in enumerate(word) if sym not in model.alphabet]
+        if not foreign:
+            assert dfa_accepts(model, word) is oracle_dfa_walk(model, word), word
+            continue
+        # with every state accepting, the walk accepts exactly the words it
+        # runs to the end, here the prefix before the first foreign symbol
+        everywhere = dataclasses.replace(model, accepting=model.states)
+        if oracle_dfa_walk(everywhere, word[:foreign[0]]):
+            with pytest.raises(AlphabetError):
+                dfa_accepts(model, word)
+        else:
+            assert dfa_accepts(model, word) is False, word
+
+
 class TestDfaAccepts:
     def test_empty_word_rejected_by_worked_model(self, stack_aware_parens_dfa):
         assert not dfa_accepts(stack_aware_parens_dfa, ())

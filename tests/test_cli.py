@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -673,3 +674,89 @@ def test_fuzzed_runs_exit_with_a_contract_code(argv, data, alpha, model):
         except SystemExit as exc:
             code = exc.code
     assert code in {EXIT_OK, EXIT_INPUT, EXIT_CONFLICT, EXIT_NO_SAMPLES, EXIT_GENERATION}
+
+
+# a ground truth over multi-character symbols: tags nest, text and hr may
+# stand anywhere, and an accepted word holds an even number of br
+_TAGS_MODEL = """vdpa
+# internal: br hr text
+# call: <a> <b>
+# return: </a> </b>
+initial: s0
+accepting: s0
+s0 text -> s0
+s0 hr -> s0
+s0 br -> s1
+s1 text -> s1
+s1 hr -> s1
+s1 br -> s0
+s0 <a> push -> s0
+s0 <b> push -> s0
+s1 <a> push -> s1
+s1 <b> push -> s1
+s0 </a> pop <a> -> s0
+s0 </b> pop <b> -> s0
+s1 </a> pop <a> -> s1
+s1 </b> pop <b> -> s1
+"""
+_TAGS_ALPHABET = "internal: text br hr\ncall: <a> <b>\nreturn: </a> </b>\n"
+_IDENTITY_RUNS = [
+    ["generate", "--automaton", "tags.aut", "--total", "200", "--mode", "balanced",
+     "--len-min", "1", "--len-max", "12", "--seed", "3", "--split", "--out", "data.txt"],
+    *(["learn", "data.txt.train", "tags.alphabet", "--mode", mode, "--backend", backend,
+       "--out", f"{mode}_{backend}.aut"] for mode in ("vdpa", "dfa") for backend in ("rpni", "edsm")),
+    ["eval", "vdpa_rpni.aut", "data.txt.eval"],
+    ["eval", "dfa_edsm.aut", "data.txt.eval"],
+    ["convert", "vdpa_edsm.aut", "--out", "vdpa_edsm.conv.dot"],
+    ["benchmark", "--grammars", "nested_xml_tags", "--repeats", "1", "--total", "100",
+     "--mode", "balanced", "--seed", "4", "--out", "report.txt"],
+]
+# the first printed line is how the alphabet's three frozensets iterate
+# under the process's hash seed; the commands' output follows
+_IDENTITY_SCRIPT = f"""
+from vpalearn.cli import main
+from vpalearn.formats import parse_alphabet
+alphabet = parse_alphabet({_TAGS_ALPHABET!r})
+print(*alphabet.internal, *alphabet.call, *alphabet.ret)
+for argv in {_IDENTITY_RUNS!r}:
+    assert main(argv) == 0, argv
+"""
+
+
+def _without_times(name, text):
+    """The fields that hold a time, and so differ between runs: the last
+    (``time_s``) column of benchmark's table and its report's ``wall_time_s``."""
+    if name == "stdout":
+        return re.sub(r"^(nested_xml_tags +\w+ .*) +\S+$", r"\1 <time_s>", text, flags=re.M)
+    if name == "report.txt":
+        return re.sub(r"^wall_time_s: \S+$", "wall_time_s: <time>", text, flags=re.M)
+    return text
+
+
+def test_outputs_are_byte_identical_under_two_hash_seeds(tmp_path):
+    # hash seeds 1 and 2 iterate each of the alphabet's frozensets in a
+    # different order, so output built from a set without sorting differs
+    src = str(Path(formats.__file__).resolve().parents[1])
+    runs = {}
+    for seed in ("1", "2"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        (cwd / "tags.aut").write_text(_TAGS_MODEL)
+        (cwd / "tags.alphabet").write_text(_TAGS_ALPHABET)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs[seed] = subprocess.Popen([sys.executable, "-c", _IDENTITY_SCRIPT], cwd=cwd, env=env,
+                                      stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    finished = {seed: proc.communicate(timeout=120) for seed, proc in runs.items()}
+    orders, outputs = [], []
+    for seed, (out, err) in finished.items():
+        assert runs[seed].returncode == 0, err.decode()
+        order, _, stdout = out.decode().partition("\n")
+        written = {path.name: path.read_bytes().decode() for path in (tmp_path / seed).iterdir()}
+        orders.append(order.split())
+        outputs.append({name: _without_times(name, text) for name, text in
+                        {"stdout": stdout, "stderr": err.decode(), **written}.items()})
+    for part in (slice(0, 3), slice(3, 5), slice(5, 7)):  # internal, call, return
+        assert orders[0][part] != orders[1][part]
+    assert "<time_s>" in outputs[0]["stdout"] and "<time>" in outputs[0]["report.txt"]
+    assert outputs[0] == outputs[1]

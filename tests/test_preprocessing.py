@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from vpalearn import (
     DatasetError,
+    GenConfig,
     LabeledDataset,
     LabeledSample,
     TransformError,
     VpaAlphabet,
+    builtin,
     dfa_accepts,
     from_stack_aware,
+    generate_dataset,
     is_well_matched,
     preprocess_dataset,
     rpni_learn,
@@ -222,3 +225,19 @@ class TestPreprocessDataset:
     def test_empty_dataset(self, paren_alphabet):
         kept, report = preprocess_dataset(LabeledDataset([]), paren_alphabet)
         assert len(kept) == 0 and report.kept == 0 and report.dropped == 0
+
+    def test_bytes_per_token_of_the_kept_words(self):
+        # the kept words share one ret|call string per (return, call) pair,
+        # so a token costs little more than its pointer in the word's tuple:
+        # about 11 bytes here, where a fresh string per return took 37
+        gt = builtin("dyck2")
+        dataset = generate_dataset(gt, GenConfig(total=5000, seed=7, mode="balanced"))
+        tracemalloc.start()
+        try:
+            kept, _ = preprocess_dataset(dataset, gt.alphabet)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tokens = sum(len(s.word) for s in kept)
+        assert len(kept) > 2000 and tokens > 50000
+        assert traced / tokens < 16

@@ -108,33 +108,46 @@ class TestMergeState:
         assert score == 1  # one accepting node on each side
 
 
-def test_prefix_tree_and_learning_memory_per_node():
+@pytest.fixture(scope="module")
+def traced_learning():
+    """Criterion 4's seed-7 balanced_parens data at 12,500 words, with the
+    traced allocation peak of rpni_learn on it, which both memory tests
+    bound: generated and traced once for the module."""
+    dataset = generate_dataset(builtin("balanced_parens"), GenConfig(total=12500, seed=7))
+    tracemalloc.start()
+    try:
+        rpni_learn(dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return dataset, peak
+
+
+def test_prefix_tree_and_learning_memory_per_node(traced_learning):
     """Traced allocation peaks per prefix-tree node on criterion 4's seed-7
     balanced_parens data at 12,500 words. The flat child and label lists keep
     build_pta under 100 bytes a node and the whole rpni_learn under 150; a
     dict of children per node took about 228 and 284."""
-    dataset = generate_dataset(builtin("balanced_parens"), GenConfig(total=12500, seed=7))
-    peaks, results = [], []
-    for run in (build_pta, rpni_learn):
-        tracemalloc.start()
-        try:
-            results.append(run(dataset))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    nodes = results[0].size
+    dataset, learn_peak = traced_learning
+    tracemalloc.start()
+    try:
+        pta = build_pta(dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes = pta.size
     assert nodes == 193407
-    assert peaks[0] / nodes < 100
-    assert peaks[1] / nodes < 150
+    assert peak / nodes < 100
+    assert learn_peak / nodes < 150
 
 
-def test_merge_state_and_learner_memory_per_node():
+def test_merge_state_and_learner_memory_per_node(traced_learning):
     """Traced allocations per prefix-tree node on the same data. Every
     representative's parent is the one shared int -1, so MergeState adds under
     24 bytes a node; rpni_learn keeps no reference to the prefix tree's label
     list, so it peaks under 85. A parent list of one int per node and a kept
     label list took 48.4 and 104.8."""
-    dataset = generate_dataset(builtin("balanced_parens"), GenConfig(total=12500, seed=7))
+    dataset, peak = traced_learning
     pta = build_pta(dataset)
     nodes = pta.size
     assert nodes == 193407
@@ -142,13 +155,6 @@ def test_merge_state_and_learner_memory_per_node():
     try:
         merger = MergeState(pta)
         added = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    del merger, pta
-    tracemalloc.start()
-    try:
-        rpni_learn(dataset)
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert added / nodes < 24
