@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal, Optional, get_args
 
 # classify is unused here but stays importable: bench/spans.py rebinds benchgen.classify
-from .automata import Automaton, Dfa, Vdpa, VpaAlphabet, acceptor, classify, edges  # noqa: F401
+from .automata import (  # noqa: F401
+    AlphabetError, Automaton, Dfa, Vdpa, VpaAlphabet, acceptor, classify, edges)
 from .papni import dfa_to_vdpa
 from .preprocess import LabeledDataset, LabeledSample, Word
 
@@ -28,11 +29,15 @@ class GroundTruth:
 
     def __post_init__(self) -> None:
         if not self.alphabet.symbols:
-            raise ValueError("ground-truth alphabet has no symbols to draw words from")
+            raise AlphabetError("ground-truth alphabet has no symbols to draw words from")
 
     @property
     def alphabet(self) -> VpaAlphabet:
         return self.vdpa.alphabet
+
+
+Mode = Literal["uniform", "balanced"]
+_MODES: tuple[str, ...] = get_args(Mode)
 
 
 @dataclass(frozen=True)
@@ -41,14 +46,14 @@ class GenConfig:
     len_min: int = 4
     len_max: int = 50
     seed: int = 0
-    mode: Literal["uniform", "balanced"] = "uniform"
+    mode: Mode = "uniform"
 
     def __post_init__(self) -> None:
         if not (0 < self.len_min <= self.len_max):
             raise ValueError("need 0 < len_min <= len_max")
         if self.total < 2:
             raise ValueError("need total >= 2")
-        if self.mode not in ("uniform", "balanced"):
+        if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -287,7 +292,7 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
         for _ in range(cfg.total):
             word = _uniform_word(rng, symbols, cfg)
             samples.append(LabeledSample(word, accepts(word)))
-        return LabeledDataset(samples)
+        return LabeledDataset._checked(samples)  # one acceptor labels every word
     n_pos = cfg.total // 2 + cfg.total % 2
     n_neg = cfg.total - n_pos
     budget = 100 * cfg.total
@@ -314,7 +319,7 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
     samples = [LabeledSample(w, True) for w in sorted(positives)]
     samples += [LabeledSample(w, False) for w in sorted(negatives)]
     rng.shuffle(samples)
-    return LabeledDataset(samples)
+    return LabeledDataset._checked(samples)  # the positives are accepted, the negatives not
 
 
 def split_dataset(dataset: LabeledDataset, seed: int = 0,
@@ -339,7 +344,7 @@ def split_dataset(dataset: LabeledDataset, seed: int = 0,
                 give = next(i for i, s in enumerate(other) if s.label is want)
                 take = next(i for i, s in enumerate(lacking) if s.label is not want)
                 lacking[take], other[give] = other[give], lacking[take]
-    return LabeledDataset(train), LabeledDataset(evl)
+    return LabeledDataset._checked(train), LabeledDataset._checked(evl)  # of a checked dataset
 
 
 def evaluate(model: Automaton, dataset: LabeledDataset) -> EvalMetrics:

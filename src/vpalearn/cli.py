@@ -26,10 +26,10 @@ from typing import Optional, Sequence
 
 from . import benchgen, formats
 from .automata import AlphabetError, Vdpa, render_dot
-from .benchgen import GenConfig, GenerationError, GroundTruth, builtin
-from .papni import NoWellMatchedSamplesError, PapniConfig, papni_learn
+from .benchgen import _MODES, GenConfig, GenerationError, GroundTruth, builtin
+from .papni import _BACKENDS, NoWellMatchedSamplesError, PapniConfig, papni_learn
 from .preprocess import DatasetError, is_well_matched
-from .rpni import edsm_learn, rpni_learn
+from .rpni import rpni_learn
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -38,6 +38,11 @@ EXIT_NO_SAMPLES = 4
 EXIT_GENERATION = 5
 
 DEFAULT_SEED = 1
+
+# the exit code of a library error that reaches main; a subclass exits as its base
+_EXIT_CODES = {DatasetError: EXIT_CONFLICT, NoWellMatchedSamplesError: EXIT_NO_SAMPLES,
+               GenerationError: EXIT_GENERATION, formats.FormatError: EXIT_INPUT,
+               AlphabetError: EXIT_INPUT}
 
 
 class _CliError(Exception):
@@ -54,17 +59,13 @@ def _manifest(entries: list[tuple[str, object]], out_path: Optional[Path]) -> No
 
 
 def _load(parse, path: str, what: str):
-    """Read a file, parse it with a ``formats`` parser; every failure becomes an exit code."""
+    """Read a file and parse it with a ``formats`` parser; its errors exit by ``_EXIT_CODES``."""
     try:
         return parse(Path(path).read_text())
     except OSError as exc:
         raise _CliError(EXIT_INPUT, f"cannot read {what} {path!r}: {exc.strerror}")
     except UnicodeDecodeError:
         raise _CliError(EXIT_INPUT, f"{what} {path!r} is not UTF-8 text")
-    except DatasetError as exc:
-        raise _CliError(EXIT_CONFLICT, str(exc))
-    except formats.FormatError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
 
 
 def _write(path: str | Path, text: str, what: str, mode: str = "w") -> None:
@@ -103,10 +104,7 @@ def _ground_truth(args) -> GroundTruth:
     model = _load(formats.parse_automaton, args.automaton, "automaton")
     if not isinstance(model, Vdpa):
         raise _CliError(EXIT_INPUT, "ground-truth automaton must be a vdpa")
-    try:
-        return GroundTruth(Path(args.automaton).stem, model)
-    except ValueError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
+    return GroundTruth(Path(args.automaton).stem, model)
 
 
 def cmd_learn(args) -> int:
@@ -120,15 +118,10 @@ def cmd_learn(args) -> int:
     dot, manifest = (out.with_suffix(out.suffix + ext) for ext in (".dot", ".manifest"))
     _probe((dot, "DOT file"), (manifest, "manifest"))
     report = None  # the raw DFA path filters nothing, so it has nothing to report
-    try:
-        if args.mode == "vdpa":
-            model, report = papni_learn(dataset, alphabet, PapniConfig(backend=args.backend))
-        else:
-            model = (rpni_learn if args.backend == "rpni" else edsm_learn)(dataset)
-    except NoWellMatchedSamplesError as exc:
-        raise _CliError(EXIT_NO_SAMPLES, str(exc))
-    except DatasetError as exc:
-        raise _CliError(EXIT_CONFLICT, str(exc))
+    if args.mode == "vdpa":
+        model, report = papni_learn(dataset, alphabet, PapniConfig(backend=args.backend))
+    else:
+        model = _BACKENDS[args.backend](dataset)
     _write(out, formats.dump_automaton(model), "model")
     _write(dot, render_dot(model), "DOT file")
     print(f"model size: {model.size}")
@@ -158,10 +151,7 @@ def cmd_generate(args) -> int:
                if args.split else [out])
     manifest = out.with_suffix(out.suffix + ".manifest")
     _probe(*((path, "dataset") for path in outputs), (manifest, "manifest"))
-    try:
-        dataset = benchgen.generate_dataset(gt, cfg)
-    except GenerationError as exc:
-        raise _CliError(EXIT_GENERATION, str(exc))
+    dataset = benchgen.generate_dataset(gt, cfg)
     halves = [dataset]
     if args.split:
         try:
@@ -202,10 +192,7 @@ def cmd_check(args) -> int:
     alphabet = _load(formats.parse_alphabet, args.alphabet, "alphabet")
     matched = 0
     for sample in dataset:
-        try:
-            ok = is_well_matched(sample.word, alphabet)
-        except AlphabetError as exc:
-            raise _CliError(EXIT_INPUT, str(exc))
+        ok = is_well_matched(sample.word, alphabet)
         matched += ok
         mark = "+" if sample.label else "-"
         verdict = "well-matched" if ok else "not-well-matched"
@@ -241,10 +228,7 @@ def cmd_benchmark(args) -> int:
                 raise _CliError(EXIT_GENERATION, f"{gt.name}: {exc}")
             for name, learn in learners.items():
                 t0 = time.perf_counter()
-                try:
-                    model = learn(train, gt.alphabet)
-                except NoWellMatchedSamplesError as exc:
-                    raise _CliError(EXIT_NO_SAMPLES, f"{gt.name}: {exc}")
+                model = learn(train, gt.alphabet)
                 elapsed = time.perf_counter() - t0
                 runs[name].append((benchgen.evaluate(model, evl).f1, model.size, elapsed))
         for name, results in runs.items():
@@ -302,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="learn a model from a labeled dataset")
     p.add_argument("dataset")
     p.add_argument("alphabet")
-    p.add_argument("--backend", choices=["rpni", "edsm"], default="rpni")
+    p.add_argument("--backend", choices=tuple(_BACKENDS), default="rpni")
     p.add_argument("--mode", choices=["dfa", "vdpa"], default="vdpa")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_learn)
@@ -315,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--len-min", type=_at_least(1), default=4)
     p.add_argument("--len-max", type=_at_least(1), default=50)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--mode", choices=["uniform", "balanced"], default="uniform")
+    p.add_argument("--mode", choices=_MODES, default="uniform")
     p.add_argument("--split", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -335,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--total", type=_at_least(2), default=10000)
-    p.add_argument("--mode", choices=["uniform", "balanced"], default="uniform")
-    p.add_argument("--backend", choices=["rpni", "edsm"], default="rpni")
+    p.add_argument("--mode", choices=_MODES, default="uniform")
+    p.add_argument("--backend", choices=tuple(_BACKENDS), default="rpni")
     p.add_argument("--out")
     p.set_defaults(func=cmd_benchmark)
 
@@ -356,9 +340,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except _CliError as exc:
+    except (_CliError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        if isinstance(exc, _CliError):
+            return exc.code
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     except BrokenPipeError:
         # the reader went away; the exit-time flush then finds nowhere to write
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

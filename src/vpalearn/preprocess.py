@@ -57,6 +57,13 @@ class LabeledDataset:
             if seen.setdefault(s.word, s.label) != s.label:
                 raise DatasetError(f"conflicting labels for word {' '.join(s.word) or 'ε'!r}")
 
+    @classmethod
+    def _checked(cls, samples: list[LabeledSample]) -> LabeledDataset:
+        """Wrap samples the library knows to pass the checks above, skipping them."""
+        dataset = object.__new__(cls)
+        dataset.samples = samples
+        return dataset
+
     def __iter__(self):
         return iter(self.samples)
 
@@ -175,7 +182,7 @@ def preprocess_dataset(dataset: LabeledDataset, alphabet: VpaAlphabet,
             report.dropped_positive += 1
         else:
             report.dropped_negative += 1
-    result = LabeledDataset(kept)
+    result = LabeledDataset._checked(kept)  # the rewrite is injective
     report.kept = len(kept)
     report.observed_pairs = {split_return_pair(sym) for sym in result.symbols()
                              if is_return_pair(sym)}

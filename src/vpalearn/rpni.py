@@ -12,7 +12,8 @@ hold both an accepting and a rejecting node.
 Two candidate policies are provided: classic RPNI and EDSM. Their candidate
 order and the pruning of the emitted model are specified by ``reference_learn``
 in ``tests/conftest.py``, a slow learner that re-folds every trial from scratch
-and whose models these equal byte for byte.
+and whose models these equal byte for byte. The model emitted here is trim by
+construction, so that prune has nothing to remove.
 
 EDSM re-scores every (red, blue) pair each round, so it remembers the
 pairs that conflicted, by PTA node ids, and never tries them again. This is
@@ -208,35 +209,13 @@ def _blue_frontier(merger: MergeState, red: list[int]) -> list[int]:
     return sorted({t for r in red for t in merger.block_transitions(r).values()} - set(red))
 
 
-def _emit_dfa(merger: MergeState, alphabet: frozenset[str]) -> Dfa:
-    root = merger.find(0)
-    # blocks reachable from the root, each with its transitions resolved once
-    trans = {root: merger.block_transitions(root)}
-    queue = deque([root])
-    while queue:
-        for dst in trans[queue.popleft()].values():
-            if dst not in trans:
-                trans[dst] = merger.block_transitions(dst)
-                queue.append(dst)
-    # prune blocks whose entire reachable closure is unlabeled: reverse BFS
-    # from labeled blocks marks everything worth keeping
-    reverse: dict[int, set[int]] = {rep: set() for rep in trans}
-    for rep, kids in trans.items():
-        for dst in kids.values():
-            reverse[dst].add(rep)
-    count = merger.count
-    useful = deque(rep for rep in trans if count[rep])
-    kept = set(useful)
-    while useful:
-        rep = useful.popleft()
-        for src in reverse[rep]:
-            if src not in kept:
-                kept.add(src)
-                useful.append(src)
-    kept.add(root)
-    moves = {(rep, sym): dst for rep in kept for sym, dst in trans[rep].items() if dst in kept}
-    accepting = frozenset(rep for rep in kept if count[rep] > 0)
-    return Dfa(frozenset(kept), alphabet, moves, root, accepting)
+def _emit_dfa(merger: MergeState, red: list[int]) -> Dfa:
+    """The quotient on the final reds. With no blue left they are exactly the
+    blocks reachable from the root block 0, and every block holds a prefix of
+    a training word, so reaches a labeled block: the model is trim as it is."""
+    moves = {(rep, sym): dst for rep in red for sym, dst in merger.block_transitions(rep).items()}
+    accepting = frozenset(rep for rep in red if merger.count[rep] > 0)
+    return Dfa(frozenset(red), frozenset(merger.symbols), moves, 0, accepting)
 
 
 def _learn(dataset: LabeledDataset, use_evidence: bool) -> Dfa:
@@ -296,7 +275,7 @@ def _learn(dataset: LabeledDataset, use_evidence: bool) -> Dfa:
                 if merger.trial_merge(r, blue) is None:
                     raise AssertionError("previously compatible merge failed on replay")
                 merger.commit()
-    return _emit_dfa(merger, frozenset(merger.symbols))
+    return _emit_dfa(merger, red)
 
 
 def rpni_learn(dataset: LabeledDataset) -> Dfa:

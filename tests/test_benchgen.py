@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vpalearn import (
     BUILTIN_NAMES,
+    AlphabetError,
     EvalMetrics,
     GenConfig,
     GenerationError,
@@ -18,6 +19,7 @@ from vpalearn import (
     evaluate,
     generate_dataset,
     is_well_matched,
+    preprocess_dataset,
     render_dot,
     split_dataset,
     vdpa_accepts,
@@ -90,6 +92,12 @@ class TestBuiltins:
         # uniform sampling draws from the alphabet, so it must not be empty
         vdpa = Vdpa(frozenset({"s0"}), VpaAlphabet(), {}, {}, {}, "s0", frozenset({"s0"}))
         with pytest.raises(ValueError):
+            GroundTruth("empty", vdpa)
+
+    def test_empty_ground_truth_alphabet_is_an_alphabet_error(self):
+        # the CLI maps the error by its class, so it must be the alphabet's
+        vdpa = Vdpa(frozenset({"s0"}), VpaAlphabet(), {}, {}, {}, "s0", frozenset({"s0"}))
+        with pytest.raises(AlphabetError, match="no symbols"):
             GroundTruth("empty", vdpa)
 
     def test_anbn_language(self):
@@ -527,3 +535,24 @@ def test_datasets_are_byte_identical(name, mode, seed):
     dataset = generate_dataset(builtin(name), cfg)
     parts = (dataset, *split_dataset(dataset, seed=seed))
     assert tuple(hashlib.sha256(dump_dataset(p).encode()).hexdigest() for p in parts) == pinned
+
+
+@given(st.sampled_from(BUILTIN_NAMES), st.sampled_from(["uniform", "balanced"]),
+       st.integers(0, 2**32 - 1), st.integers(4, 60))
+@settings(max_examples=60, deadline=None)
+def test_library_datasets_pass_the_public_checks(name, mode, seed, total):
+    """Generation, split and preprocessing build their datasets without the
+    constructor's checks; each result is what the checked constructor makes
+    of its samples."""
+    gt = builtin(name)
+    try:
+        results = [generate_dataset(gt, GenConfig(total=total, len_max=12, seed=seed, mode=mode))]
+    except GenerationError:
+        return  # too few distinct words to sample
+    try:
+        results += split_dataset(results[0], seed=seed)
+    except ValueError:
+        pass  # too few distinct words of one label to split
+    results += [preprocess_dataset(d, gt.alphabet)[0] for d in results]
+    for result in results:
+        assert LabeledDataset(result.samples) == result

@@ -14,14 +14,20 @@ from hypothesis import strategies as st
 
 from vpalearn import (
     BUILTIN_NAMES,
+    AlphabetError,
+    DatasetError,
     GenConfig,
+    GenerationError,
+    NoWellMatchedSamplesError,
     Vdpa,
     VpaAlphabet,
     benchgen,
     builtin,
+    cli,
     evaluate,
     formats,
     generate_dataset,
+    papni,
     papni_learn,
     rpni_learn,
     split_dataset,
@@ -585,6 +591,42 @@ class TestConvert:
         assert proc.wait(timeout=60) == EXIT_INPUT, err
         assert err.startswith("error:"), err
         assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# each command's library call, to be replaced by one that raises: (argv after
+# the command, owner, attribute; a dict owner has the attribute as its key)
+_LIBRARY_CALLS = {
+    "learn --mode vdpa": (["DATA", "ALPHA", "--mode", "vdpa", "--out", "OUT"],
+                          cli, "papni_learn"),
+    "learn --mode dfa": (["DATA", "ALPHA", "--mode", "dfa", "--out", "OUT"],
+                         papni._BACKENDS, "rpni"),
+    "generate": (["--grammar", "dyck1", "--out", "OUT"], benchgen, "generate_dataset"),
+    "check": (["DATA", "ALPHA"], cli, "is_well_matched"),
+    "benchmark": (["--grammars", "dyck1", "--repeats", "1", "--total", "20",
+                   "--mode", "balanced"], cli, "rpni_learn"),
+}
+
+
+@pytest.mark.parametrize("error,code", [
+    (DatasetError, EXIT_CONFLICT), (NoWellMatchedSamplesError, EXIT_NO_SAMPLES),
+    (GenerationError, EXIT_GENERATION), (formats.FormatError, EXIT_INPUT),
+    (AlphabetError, EXIT_INPUT),
+])
+@pytest.mark.parametrize("command", _LIBRARY_CALLS)
+def test_library_errors_exit_by_their_class(tmp_path, monkeypatch, capsys, command, error, code):
+    args, owner, name = _LIBRARY_CALLS[command]
+    data, alpha = write_worked_files(tmp_path)
+    paths = {"DATA": str(data), "ALPHA": str(alpha), "OUT": str(tmp_path / "out.txt")}
+
+    def fail(*_, **__):
+        raise error("the library gave up")
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, name, fail)
+    else:
+        monkeypatch.setattr(owner, name, fail)
+    assert main([command.split()[0], *(paths.get(a, a) for a in args)]) == code
+    # one error line and nothing else: no traceback
+    assert capsys.readouterr().err == "error: the library gave up\n"
 
 
 # line pools of the three input formats, some lines malformed, and whole

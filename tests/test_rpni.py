@@ -362,7 +362,7 @@ def test_rejected_merges_stay_rejected(dataset):
             score = merger.trial_merge(red_id, blue_id)
             merger.rollback()
             assert score is None
-    assert _emit_dfa(merger, dataset.symbols()) == edsm_learn(dataset)
+    assert _emit_dfa(merger, red) == edsm_learn(dataset)
 
 
 # words over multi-character symbols too, so that shortlex compares symbol
