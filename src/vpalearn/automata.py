@@ -14,7 +14,6 @@ ordinary DFA over strings.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Optional, Sequence, Union
@@ -71,7 +70,7 @@ class VpaAlphabet:
         object.__setattr__(self, "internal", frozenset(self.internal))
         object.__setattr__(self, "call", frozenset(self.call))
         object.__setattr__(self, "ret", frozenset(self.ret))
-        for sym in itertools.chain(self.internal, self.call, self.ret):
+        for sym in sorted(self.symbols):  # the first bad symbol is the same in every process
             validate_symbol(sym)
             if PAIR_SEP in sym:
                 raise AlphabetError(f"symbol {sym!r} may not contain {PAIR_SEP!r}")
@@ -201,30 +200,48 @@ def _compile(model: Automaton) -> tuple[list[dict], list[bool], int, frozenset, 
     return moves, accepting, number[model.initial], split.call, split.ret
 
 
+def runner(model: Automaton) -> Callable[[Word], Reason]:
+    """The model's run as a function of the word, its table compiled once:
+    the run keeps a stack of call symbols and returns the ``Reason`` it ends
+    with. A step indexes a list and then a dict, and a missing move, for a
+    symbol outside the alphabet too, ends the run as ``UNDEFINED_TRANSITION``,
+    so the stack may change before it. Nothing raises."""
+    moves, accepting, initial, calls, rets = _compile(model)
+    ends = [Reason.ACCEPTED if flag else Reason.REJECTED_AT_STATE for flag in accepting]
+    empty_pop, open_calls = Reason.POP_FROM_EMPTY_STACK, Reason.NON_EMPTY_STACK_AT_END
+    undefined = Reason.UNDEFINED_TRANSITION
+
+    def run(word: Word) -> Reason:
+        state, stack = initial, []
+        try:
+            for sym in word:
+                if sym in rets:
+                    if not stack:
+                        return empty_pop
+                    state = moves[state][sym, stack.pop()]
+                else:
+                    if sym in calls:
+                        stack.append(sym)
+                    state = moves[state][sym]
+        except KeyError:  # no move for this symbol, foreign or not
+            return undefined
+        return open_calls if stack else ends[state]
+
+    return run
+
+
 def vdpa_accepts(model: Automaton, word: Word) -> Reason:
-    """Run the word with an explicit stack of call symbols and return the
-    ``Reason`` it ends with. An undefined move ends the run, so the stack
-    may change before it; a symbol outside the alphabet raises
-    ``AlphabetError`` when the run reaches it."""
-    moves, accepting, state, calls, rets = _compile(model)
-    stack: list[str] = []
-    for sym in word:
-        if sym in rets:
-            if not stack:
-                return Reason.POP_FROM_EMPTY_STACK
-            nxt = moves[state].get((sym, stack.pop()))
-        else:
-            if sym in calls:
-                stack.append(sym)
-            nxt = moves[state].get(sym)
-        if nxt is None:  # no symbol outside the alphabet has a move
-            if sym not in model_symbols(model):
-                raise AlphabetError(f"symbol {sym!r} not in alphabet")
-            return Reason.UNDEFINED_TRANSITION
-        state = nxt
-    if stack:
-        return Reason.NON_EMPTY_STACK_AT_END
-    return Reason.ACCEPTED if accepting[state] else Reason.REJECTED_AT_STATE
+    """The ``Reason`` the model's run ends with, for DFAs too. A symbol
+    outside the alphabet raises ``AlphabetError`` when the run reaches it:
+    the run of the word before it is the verdict only where it stops early,
+    on an empty pop or a missing move."""
+    symbols = model_symbols(model)
+    cut = next((i for i, sym in enumerate(word) if sym not in symbols), len(word))
+    verdict = runner(model)(word[:cut])
+    if cut < len(word) and verdict not in (Reason.POP_FROM_EMPTY_STACK,
+                                           Reason.UNDEFINED_TRANSITION):
+        raise AlphabetError(f"symbol {word[cut]!r} not in alphabet")
+    return verdict
 
 
 def dfa_accepts(dfa: Dfa, word: Word) -> bool:
@@ -233,29 +250,11 @@ def dfa_accepts(dfa: Dfa, word: Word) -> bool:
 
 
 def acceptor(model: Automaton) -> Callable[[Word], bool]:
-    """The model's boolean verdict as a function of the word, its run table
-    compiled once. A missing move, a symbol outside the alphabet, a pop from
-    an empty stack and calls left open all reject. A step indexes a list
-    and then a dict."""
-    moves, accepting, initial, calls, rets = _compile(model)
-
-    def accepts(word: Word) -> bool:
-        state, stack = initial, []
-        try:
-            for sym in word:
-                if sym in rets:
-                    if not stack:
-                        return False
-                    state = moves[state][sym, stack.pop()]
-                else:
-                    if sym in calls:
-                        stack.append(sym)
-                    state = moves[state][sym]
-        except KeyError:  # no move for this symbol, foreign or not
-            return False
-        return not stack and accepting[state]
-
-    return accepts
+    """The model's boolean verdict as a function of the word: its run, built
+    once, ends ``ACCEPTED``. A missing move, a symbol outside the alphabet,
+    a pop from an empty stack and calls left open all reject."""
+    run, accepted = runner(model), Reason.ACCEPTED
+    return lambda word: run(word) is accepted
 
 
 def classify(model: Automaton, word: Word) -> bool:
@@ -296,7 +295,9 @@ def bounded_equivalence(a: Automaton, b: Automaton, max_len: int,
         raise ValueError("max_len must be >= 0")
     alpha = a.alphabet if isinstance(a, Vdpa) and isinstance(b, Vdpa) else None
     if model_symbols(a) != model_symbols(b) or (alpha is not None and b.alphabet != alpha):
-        raise AlphabetError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
+        shown = [sorted(m.alphabet) if isinstance(m, Dfa) else
+                 {kind: sorted(part) for kind, part in vars(m.alphabet).items()} for m in (a, b)]
+        raise AlphabetError(f"alphabet mismatch: {shown[0]} vs {shown[1]}")
     moves_a, acc_a, init_a, calls_a, rets_a = _compile(a)
     moves_b, acc_b, init_b, calls_b, rets_b = _compile(b)
     sink_a, sink_b = len(moves_a) - 1, len(moves_b) - 1

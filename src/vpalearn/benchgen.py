@@ -13,7 +13,7 @@ from typing import Literal, Optional, get_args
 
 # classify is unused here but stays importable: bench/spans.py rebinds benchgen.classify
 from .automata import (  # noqa: F401
-    AlphabetError, Automaton, Dfa, Vdpa, VpaAlphabet, acceptor, classify, edges)
+    AlphabetError, Automaton, Dfa, Reason, Vdpa, VpaAlphabet, _compile, classify, runner)
 from .papni import dfa_to_vdpa
 from .preprocess import LabeledDataset, LabeledSample, Word
 
@@ -222,28 +222,17 @@ def _uniform_word(rng: random.Random, symbols: list[str], cfg: GenConfig) -> Wor
     return tuple(word)
 
 
-def _walk_moves(vdpa: Vdpa) -> tuple[dict, dict, dict, dict]:
-    """The moves an accepting walk draws from: (symbol, target) lists per
-    state for internal and call symbols, and per (state, stack top) for
-    return symbols, each in symbol order so the walk is reproducible across
-    processes. Built once per dataset, so the walk itself never sorts. The
-    fourth dict memoizes the walk's option lists."""
-    moves: dict[str, dict] = {"internal": {}, "call": {}, "return": {}}
-    # the kinds partition the symbols, so one stable sort orders each list
-    for kind, src, sym, top, dst in sorted(edges(vdpa), key=lambda e: e[2]):
-        moves[kind].setdefault(src if top is None else (src, top), []).append((sym, dst))
-    return moves["internal"], moves["call"], moves["return"], {}
-
-
-def _accepting_walk(rng: random.Random, vdpa: Vdpa, moves: tuple[dict, dict, dict, dict],
-                    length: int) -> Optional[Word]:
-    """One random walk of exactly `length` steps that must end accepting with
-    an empty stack; pushes are pruned so the stack can always drain in time.
-    Each step draws as ``rng.randrange(len(options))`` would."""
-    internal, call, ret, memo = moves
+def _accepting_walk(rng: random.Random, table: tuple, memo: dict, length: int) -> Optional[Word]:
+    """One random walk of exactly `length` steps over a model's compiled
+    table that must end accepting with an empty stack; pushes are pruned so
+    the stack can always drain in time. Each step draws as
+    ``rng.randrange(len(options))`` would. The options are the state's row:
+    internal moves, then call moves, then return moves for the stack top,
+    each kind in symbol order, so the walk is reproducible across processes.
+    ``memo`` keeps each option list, built once per dataset, so the walk
+    itself never sorts."""
+    moves, accepting, state, calls, rets = table
     getrandbits = rng.getrandbits
-    calls, rets = vdpa.alphabet.call, vdpa.alphabet.ret
-    state = vdpa.initial
     stack: list[str] = []
     word: list[str] = []
     for remaining_after in range(length - 1, -1, -1):
@@ -252,13 +241,11 @@ def _accepting_walk(rng: random.Random, vdpa: Vdpa, moves: tuple[dict, dict, dic
         key = (state, top, depth <= remaining_after, depth < remaining_after)
         entry = memo.get(key)
         if entry is None:
-            options: list[tuple[str, object]] = []
-            if key[2]:
-                options += internal.get(state, ())
-                if key[3]:
-                    options += call.get(state, ())
-            if stack:
-                options += ret.get((state, top), ())
+            # rank 0 internal, 1 call, 2 return keyed (return, popped call)
+            ranked = sorted((2 if isinstance(sym, tuple) else sym in calls, sym, dst)
+                            for sym, dst in moves[state].items())
+            options = [(sym, dst) for rank, sym, dst in ranked if rank < 2 and key[2 + rank]]
+            options += [(sym[0], dst) for rank, sym, dst in ranked if rank == 2 and sym[1] == top]
             entry = memo[key] = (options, len(options), len(options).bit_length())
         options, n, k = entry
         if not n:
@@ -272,7 +259,7 @@ def _accepting_walk(rng: random.Random, vdpa: Vdpa, moves: tuple[dict, dict, dic
         elif sym in rets:
             stack.pop()
         word.append(sym)
-    if state in vdpa.accepting and not stack:
+    if accepting[state] and not stack:
         return tuple(word)
     return None
 
@@ -286,17 +273,17 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
     """
     rng = random.Random(cfg.seed)
     symbols = sorted(gt.alphabet.symbols)
-    accepts = acceptor(gt.vdpa)
+    run, accepted = runner(gt.vdpa), Reason.ACCEPTED
     if cfg.mode == "uniform":
         samples = []
         for _ in range(cfg.total):
             word = _uniform_word(rng, symbols, cfg)
-            samples.append(LabeledSample(word, accepts(word)))
-        return LabeledDataset._checked(samples)  # one acceptor labels every word
+            samples.append(LabeledSample(word, run(word) is accepted))
+        return LabeledDataset._checked(samples)  # one run labels every word
     n_pos = cfg.total // 2 + cfg.total % 2
     n_neg = cfg.total - n_pos
     budget = 100 * cfg.total
-    moves = _walk_moves(gt.vdpa)
+    table, memo = _compile(gt.vdpa), {}
     positives: set[Word] = set()
     while len(positives) < n_pos:
         if budget <= 0:
@@ -305,7 +292,7 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
                 f"[{cfg.len_min}, {cfg.len_max}] from {gt.name!r}")
         budget -= 1
         length = cfg.len_min + _randbelow(rng.getrandbits, cfg.len_max - cfg.len_min + 1)
-        word = _accepting_walk(rng, gt.vdpa, moves, length)
+        word = _accepting_walk(rng, table, memo, length)
         if word is not None:
             positives.add(word)
     negatives: set[Word] = set()
@@ -314,7 +301,7 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
             raise GenerationError(f"could not sample {n_neg} distinct rejected words from {gt.name!r}")
         budget -= 1
         word = _uniform_word(rng, symbols, cfg)
-        if word not in positives and not accepts(word):
+        if word not in positives and run(word) is not accepted:
             negatives.add(word)
     samples = [LabeledSample(w, True) for w in sorted(positives)]
     samples += [LabeledSample(w, False) for w in sorted(negatives)]
@@ -351,10 +338,10 @@ def evaluate(model: Automaton, dataset: LabeledDataset) -> EvalMetrics:
     """Classify every sample and tally precision, recall and F1."""
     if not dataset.samples:
         raise ValueError("evaluation dataset is empty")
-    accepts = acceptor(model)
+    run, accepted = runner(model), Reason.ACCEPTED
     tp = fp = fn = tn = 0
     for sample in dataset:
-        predicted = accepts(sample.word)
+        predicted = run(sample.word) is accepted
         if predicted and sample.label:
             tp += 1
         elif predicted and not sample.label:

@@ -110,9 +110,10 @@ def _ground_truth(args) -> GroundTruth:
 def cmd_learn(args) -> int:
     dataset = _load_dataset(args.dataset)
     alphabet = _load(formats.parse_alphabet, args.alphabet, "alphabet")
-    for sym in dataset.symbols():
-        if sym not in alphabet.symbols:
-            raise _CliError(EXIT_INPUT, f"dataset symbol {sym!r} not in alphabet")
+    symbols = alphabet.symbols
+    foreign = next((sym for s in dataset for sym in s.word if sym not in symbols), None)
+    if foreign is not None:  # the first in file order
+        raise _CliError(EXIT_INPUT, f"dataset symbol {foreign!r} not in alphabet")
     out = Path(args.out)
     _probe((out, "model"))  # first: a path with no file name is refused as a directory
     dot, manifest = (out.with_suffix(out.suffix + ext) for ext in (".dot", ".manifest"))

@@ -28,7 +28,7 @@ from vpalearn import (
     rpni_learn,
     vdpa_accepts,
 )
-from vpalearn.automata import canonical_names, edges, model_symbols
+from vpalearn.automata import canonical_names, edges, model_symbols, runner
 
 from conftest import (as_dataset, oracle_bounded_equivalence, oracle_dfa_walk,
                       oracle_vdpa_reason, oracle_well_matched)
@@ -174,6 +174,24 @@ def test_acceptor_agrees_with_the_oracles(case):
             expected = oracle_vdpa_reason(model, word) == "Accepted"
         assert accepts(word) is expected, word
         assert classify(model, word) is expected, word
+
+
+@given(_models_and_words())
+@settings(max_examples=300, deadline=None)
+def test_runner_agrees_with_the_oracles(case):
+    # the compiled run raises nowhere: a missing move, for a foreign symbol
+    # too, ends it as UndefinedTransition
+    model, words = case
+    run = runner(model)
+    for word in words:
+        if isinstance(model, Dfa):
+            assert run(word).accepted is oracle_dfa_walk(model, word), word
+            continue
+        expected = oracle_vdpa_reason(model, word)
+        if expected is None:  # the run reaches a foreign symbol
+            assert run(word) is Reason.UNDEFINED_TRANSITION, word
+        else:
+            assert run(word) is Reason(expected), word
 
 
 @given(_models_and_words())

@@ -25,7 +25,8 @@ from vpalearn import (
     vdpa_accepts,
 )
 
-from vpalearn.benchgen import _accepting_walk, _randbelow, _uniform_word, _walk_moves
+from vpalearn.automata import _compile, edges
+from vpalearn.benchgen import _accepting_walk, _randbelow, _uniform_word
 from vpalearn.formats import dump_automaton, dump_dataset
 
 from conftest import as_dataset, oracle_well_matched
@@ -320,8 +321,12 @@ def test_draws_equal_the_stdlib_draws(seed, n, lo, len_min, len_extra):
 
 def _oracle_walk(rng, vdpa, length):
     """The accepting walk before its option lists were memoized: the list is
-    rebuilt at every step and the step is drawn by randrange."""
-    internal, call, ret, _ = _walk_moves(vdpa)
+    rebuilt at every step and the step is drawn by randrange. The options
+    come from the model's edges, per kind and in symbol order."""
+    moves = {"internal": {}, "call": {}, "return": {}}
+    for kind, src, sym, top, dst in sorted(edges(vdpa), key=lambda e: e[2]):
+        moves[kind].setdefault(src if top is None else (src, top), []).append((sym, dst))
+    internal, call, ret = moves.values()
     state, stack, word = vdpa.initial, [], []
     for step in range(length):
         remaining_after = length - step - 1
@@ -349,9 +354,9 @@ def _oracle_walk(rng, vdpa, length):
 def test_walks_equal_the_unmemoized_walks(name, seed, lengths):
     vdpa = builtin(name).vdpa
     ours, oracle = random.Random(seed), random.Random(seed)
-    moves = _walk_moves(vdpa)  # one memo across the walks, as in a dataset
+    table, memo = _compile(vdpa), {}  # one memo across the walks, as in a dataset
     for length in lengths:
-        assert _accepting_walk(ours, vdpa, moves, length) == _oracle_walk(oracle, vdpa, length)
+        assert _accepting_walk(ours, table, memo, length) == _oracle_walk(oracle, vdpa, length)
         assert ours.getstate() == oracle.getstate()
 
 

@@ -753,6 +753,15 @@ _IDENTITY_RUNS = [
     ["benchmark", "--grammars", "nested_xml_tags", "--repeats", "1", "--total", "100",
      "--mode", "balanced", "--seed", "4", "--out", "report.txt"],
 ]
+# two runs that fail on an input with several faults: each error must name
+# the same one, whichever way the hash seed orders the sets they lie in
+_FOREIGN_DATA = "+ ( x )\n- ( y\n+ ( z w v )\n"
+_PARENS_ALPHABET = "internal:\ncall: (\nreturn: )\n"
+_PAIRS_ALPHABET = "internal:\ncall: a|b c|d e|f\nreturn:\n"
+_IDENTITY_FAILURES = [
+    ["learn", "foreign.txt", "parens.alphabet", "--out", "foreign.aut"],
+    ["check", "foreign.txt", "pairs.alphabet"],
+]
 # the first printed line is how the alphabet's three frozensets iterate
 # under the process's hash seed; the commands' output follows
 _IDENTITY_SCRIPT = f"""
@@ -762,6 +771,8 @@ alphabet = parse_alphabet({_TAGS_ALPHABET!r})
 print(*alphabet.internal, *alphabet.call, *alphabet.ret)
 for argv in {_IDENTITY_RUNS!r}:
     assert main(argv) == 0, argv
+for argv in {_IDENTITY_FAILURES!r}:
+    assert main(argv) == 2, argv
 """
 
 
@@ -785,6 +796,9 @@ def test_outputs_are_byte_identical_under_two_hash_seeds(tmp_path):
         cwd.mkdir()
         (cwd / "tags.aut").write_text(_TAGS_MODEL)
         (cwd / "tags.alphabet").write_text(_TAGS_ALPHABET)
+        (cwd / "foreign.txt").write_text(_FOREIGN_DATA)
+        (cwd / "parens.alphabet").write_text(_PARENS_ALPHABET)
+        (cwd / "pairs.alphabet").write_text(_PAIRS_ALPHABET)
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         runs[seed] = subprocess.Popen([sys.executable, "-c", _IDENTITY_SCRIPT], cwd=cwd, env=env,
