@@ -22,6 +22,15 @@ later are supersets of the ones that conflicted, and the fold of a coarser
 partition identifies at least the same nodes, so it meets the same
 conflict. A round also ends at the first blue with no compatible red, the
 one it promotes, without scoring the blues after it.
+
+Both policies reject most conflicting trials without folding. A merge state
+remembers the column paths of its last few conflicts: the symbols that led
+from a trial's two blocks to the pair of blocks whose labels clashed. Before
+folding, a trial walks each path from both of its blocks through the current
+quotient. If both walks exist and end in blocks of opposite labels, the
+trial is rejected as it stands. This is sound because the fold pairs the
+successors of every identified pair on each symbol that both have: it would
+identify the two blocks at the ends of the walks, and so conflict.
 """
 
 from __future__ import annotations
@@ -32,6 +41,9 @@ from typing import Optional
 
 from .automata import Dfa
 from .preprocess import DatasetError, LabeledDataset
+
+# conflict witnesses a MergeState remembers: lists of 2, 4 and 8 saved alike
+_WITNESSES = 4
 
 
 @dataclass
@@ -128,6 +140,10 @@ class MergeState:
         # undo log of the trial in progress, ints only: r > 0 is an absorbed
         # representative, ~slot < 0 a transition added at child[slot]
         self._log: list[int] = []
+        # column paths of recent conflicts, most recently useful first, and
+        # the bits a column takes in the path each fold queue entry carries
+        self._witnesses: list[tuple[int, ...]] = []
+        self._bits = max(1, (len(self.symbols) - 1).bit_length())
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -147,18 +163,46 @@ class MergeState:
         Returns the evidence score (same-label node pairs brought together)
         on success, leaving the merge applied; rolls everything back and
         returns None on a label conflict.
+
+        Before folding, it walks each remembered conflict witness from both
+        blocks (see the module docstring). When both walks end in blocks of
+        opposite labels, the fold would pair them and conflict, so it returns
+        None without touching any field or the undo log.
         """
         # the hot loop of both learners: attributes bound to locals, find inlined
         parent, child, count, k = self.parent, self.child, self.count, len(self.symbols)
         columns = range(k)
         log = self._log
         log.clear()
+        while parent[a] >= 0:
+            a = parent[a]
+        while parent[b] >= 0:
+            b = parent[b]
+        witnesses = self._witnesses
+        for path in witnesses:
+            x, y = a, b
+            for i in path:
+                x, y = child[x * k + i], child[y * k + i]
+                if not (x and y):
+                    break
+                while parent[x] >= 0:
+                    x = parent[x]
+                while parent[y] >= 0:
+                    y = parent[y]
+            else:
+                if count[x] * count[y] < 0:
+                    witnesses.remove(path)
+                    witnesses.insert(0, path)
+                    return None
         record = log.append
+        bits = self._bits
         score = 0
-        queue: deque[tuple[int, int]] = deque([(a, b)])
+        # each entry carries its column path from (a, b): a leading 1 bit,
+        # then `bits` bits per column
+        queue: deque[tuple[int, int, int]] = deque([(a, b, 1)])
         pop, push = queue.popleft, queue.append
         while queue:
-            rx, ry = pop()
+            rx, ry, path = pop()
             while parent[rx] >= 0:
                 rx = parent[rx]
             while parent[ry] >= 0:
@@ -171,6 +215,12 @@ class MergeState:
             pairs = cx * cy
             if pairs < 0:
                 self.rollback()
+                steps, mask = [], (1 << bits) - 1
+                while path > 1:
+                    steps.append(path & mask)
+                    path >>= bits
+                witnesses.insert(0, tuple(reversed(steps)))
+                del witnesses[_WITNESSES:]
                 return None
             score += pairs
             # ry is absorbed into rx, the smaller representative
@@ -178,13 +228,14 @@ class MergeState:
             parent[ry] = rx
             count[rx] = cx + cy
             bx, by = rx * k, ry * k
+            path <<= bits
             for i in columns:
                 dst = child[by + i]
                 if dst:
                     slot = bx + i
                     old = child[slot]
                     if old:
-                        push((old, dst))
+                        push((old, dst, path | i))
                     else:
                         child[slot] = dst
                         record(~slot)
