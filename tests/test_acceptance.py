@@ -13,11 +13,17 @@ single PASS/FAIL line (run with ``pytest -s`` to see them on success):
    dataset size from 5k to 50k.
 5. Five randomized property suites (>= 1000 cases each).
 6. The observed stack-aware alphabet never exceeds its size bound.
+
+The worked-example script's stdout is pinned as well.
 """
 
+import os
 import random
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from vpalearn import (
     Dfa,
@@ -62,6 +68,32 @@ def test_criterion_1_worked_example_reproduction():
     ok = vdpa.size == 3 and counterexample is None and elapsed < 1.0
     _report(1, ok, f"size={vdpa.size}, counterexample={counterexample}, "
                    f"time={elapsed:.3f}s")
+
+
+# scripts/worked_example.py's whole stdout; its sha256 is 6ce99ba9...7f88
+WORKED_EXAMPLE_STDOUT = """\
+preprocessing:
+  kept: 6
+  dropped_positive: 0
+  dropped_negative: 5
+  observed_pairs: )|(
+
+raw RPNI model size: 5
+raw RPNI accepts ')()': True
+
+pushdown pipeline model size: 3
+bounded-equivalent to ground truth (len <= 12): True
+"""
+
+
+def test_worked_example_script_output_is_pinned():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", str(root / "scripts" / "worked_example.py")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == WORKED_EXAMPLE_STDOUT
 
 
 def test_criterion_2_rpni_failure_mode():
