@@ -12,9 +12,9 @@ from vpalearn import (
     VpaAlphabet,
     LabeledDataset,
     LabeledSample,
+    acceptor,
     bounded_equivalence,
     builtin,
-    dfa_accepts,
     papni_learn,
     preprocess_dataset,
     render_dot,
@@ -52,7 +52,7 @@ def main() -> None:
 
     dfa = rpni_learn(dataset)
     print(f"\nraw RPNI model size: {dfa.size}")
-    print(f"raw RPNI accepts ')()': {dfa_accepts(dfa, tuple(')()'))}")
+    print(f"raw RPNI accepts ')()': {acceptor(dfa)(tuple(')()'))}")
 
     vdpa, _ = papni_learn(dataset, alphabet)
     print(f"\npushdown pipeline model size: {vdpa.size}")

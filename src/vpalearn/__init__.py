@@ -10,10 +10,8 @@ from .automata import (
     VpaAlphabet,
     acceptor,
     bounded_equivalence,
-    classify,
-    dfa_accepts,
     render_dot,
-    vdpa_accepts,
+    runner,
 )
 from .benchgen import (
     BUILTIN_NAMES,
@@ -33,12 +31,13 @@ from .preprocess import (
     LabeledSample,
     PreprocessReport,
     TransformError,
-    from_stack_aware,
     is_well_matched,
     preprocess_dataset,
     to_stack_aware,
 )
 from .rpni import Pta, build_pta, edsm_learn, rpni_learn
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing a submodule binds its name here too; the API is the names imported above
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], type(automata))]
 __version__ = "0.1.0"

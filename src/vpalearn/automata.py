@@ -230,25 +230,6 @@ def runner(model: Automaton) -> Callable[[Word], Reason]:
     return run
 
 
-def vdpa_accepts(model: Automaton, word: Word) -> Reason:
-    """The ``Reason`` the model's run ends with, for DFAs too. A symbol
-    outside the alphabet raises ``AlphabetError`` when the run reaches it:
-    the run of the word before it is the verdict only where it stops early,
-    on an empty pop or a missing move."""
-    symbols = model_symbols(model)
-    cut = next((i for i, sym in enumerate(word) if sym not in symbols), len(word))
-    verdict = runner(model)(word[:cut])
-    if cut < len(word) and verdict not in (Reason.POP_FROM_EMPTY_STACK,
-                                           Reason.UNDEFINED_TRANSITION):
-        raise AlphabetError(f"symbol {word[cut]!r} not in alphabet")
-    return verdict
-
-
-def dfa_accepts(dfa: Dfa, word: Word) -> bool:
-    """Run the word; a missing transition rejects (partial-DFA convention)."""
-    return vdpa_accepts(dfa, word).accepted
-
-
 def acceptor(model: Automaton) -> Callable[[Word], bool]:
     """The model's boolean verdict as a function of the word: its run, built
     once, ends ``ACCEPTED``. A missing move, a symbol outside the alphabet,
@@ -258,11 +239,9 @@ def acceptor(model: Automaton) -> Callable[[Word], bool]:
 
 
 def classify(model: Automaton, word: Word) -> bool:
-    """Boolean verdict; out-of-alphabet symbols reject instead of raising.
-
-    Evaluation sets may contain symbols a learned partial model never saw.
-    To classify many words, build ``acceptor(model)`` once instead.
-    """
+    """``acceptor(model)(word)``. Its only user is ``bench/spans.py``, which
+    binds it and ``benchgen.classify`` when imported; both go when the bench
+    stops binding them (ROADMAP item 3)."""
     return acceptor(model)(word)
 
 

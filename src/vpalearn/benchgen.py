@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Literal, Optional, get_args
 
-# classify is unused here but stays importable: bench/spans.py rebinds benchgen.classify
+# classify is unused here: only bench/spans.py rebinds benchgen.classify (ROADMAP item 3)
 from .automata import (  # noqa: F401
     AlphabetError, Automaton, Dfa, Reason, Vdpa, VpaAlphabet, _compile, classify, runner)
 from .papni import dfa_to_vdpa

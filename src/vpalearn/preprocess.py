@@ -161,12 +161,6 @@ def to_stack_aware(word: Sequence[str], alphabet: VpaAlphabet) -> Word:
     return rewritten
 
 
-def from_stack_aware(word: Sequence[str]) -> Word:
-    """Inverse of the transform: drop the call annotation from each pair."""
-    return tuple(split_return_pair(sym)[0] if is_return_pair(sym) else sym
-                 for sym in word)
-
-
 def preprocess_dataset(dataset: LabeledDataset, alphabet: VpaAlphabet,
                        ) -> tuple[LabeledDataset, PreprocessReport]:
     """Drop non-well-matched samples and rewrite the rest, labels unchanged.

@@ -10,7 +10,7 @@ from typing import Iterator, Optional, Sequence
 import pytest
 
 from vpalearn import (AlphabetError, Dfa, LabeledDataset, LabeledSample, Vdpa, VpaAlphabet,
-                      builtin, classify)
+                      acceptor, builtin)
 
 # the balanced-parentheses learning example: 10 labeled words plus the
 # empty word; 5 of the 10 non-empty words are not well-matched
@@ -99,6 +99,12 @@ def oracle_well_matched(word, alphabet: VpaAlphabet) -> bool:
     return not stack
 
 
+def from_stack_aware(word) -> tuple:
+    """Inverse of ``to_stack_aware``: each ``ret|call`` pair back to its
+    return symbol, every other symbol as it is."""
+    return tuple(sym.partition("|")[0] for sym in word)
+
+
 def oracle_vdpa_reason(vdpa: Vdpa, word) -> Optional[str]:
     """Run over one move table keyed by (state, symbol, popped top or None);
     returns the verdict's ``Reason`` value, or None when the run reaches a
@@ -184,8 +190,9 @@ def oracle_bounded_equivalence(a, b, max_len: int) -> Optional[tuple]:
     alpha = a.alphabet if isinstance(a, Vdpa) and isinstance(b, Vdpa) else None
     if _model_symbols(a) != _model_symbols(b) or (alpha is not None and b.alphabet != alpha):
         raise AlphabetError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
+    accepts_a, accepts_b = acceptor(a), acceptor(b)
     for word in _enumerate_words(_model_symbols(a), max_len, alpha):
-        if classify(a, word) != classify(b, word):
+        if accepts_a(word) != accepts_b(word):
             return word
     return None
 

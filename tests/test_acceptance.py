@@ -14,7 +14,7 @@ single PASS/FAIL line (run with ``pytest -s`` to see them on success):
 5. Five randomized property suites (>= 1000 cases each).
 6. The observed stack-aware alphabet never exceeds its size bound.
 
-The worked-example script's stdout is pinned as well.
+The worked-example script's stdout and the public API are pinned as well.
 """
 
 import os
@@ -24,31 +24,32 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import ModuleType
 
+import vpalearn
 from vpalearn import (
     Dfa,
     GenConfig,
     LabeledDataset,
     LabeledSample,
     VpaAlphabet,
+    acceptor,
     bounded_equivalence,
     builtin,
-    dfa_accepts,
     dfa_to_vdpa,
     edsm_learn,
     evaluate,
-    from_stack_aware,
     generate_dataset,
     is_well_matched,
     papni_learn,
     preprocess_dataset,
     rpni_learn,
+    runner,
     split_dataset,
     to_stack_aware,
-    vdpa_accepts,
 )
 
-from conftest import WORKED_SAMPLES, as_dataset, random_well_matched
+from conftest import WORKED_SAMPLES, as_dataset, from_stack_aware, random_well_matched
 
 PAREN = VpaAlphabet(frozenset(), frozenset({"("}), frozenset({")"}))
 
@@ -90,17 +91,38 @@ def test_worked_example_script_output_is_pinned():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-W", "error", str(root / "scripts" / "worked_example.py")],
+    script = root / "scripts" / "worked_example.py"
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == WORKED_EXAMPLE_STDOUT
 
 
+# the whole public API: one run of a word (runner, and acceptor as its
+# boolean form), no submodule
+PUBLIC_API = {
+    "AlphabetError", "BUILTIN_NAMES", "DatasetError", "Dfa", "EvalMetrics", "GenConfig",
+    "GenerationError", "GroundTruth", "LabeledDataset", "LabeledSample",
+    "NoWellMatchedSamplesError", "PapniConfig", "PreprocessReport", "Pta", "Reason",
+    "TransformError", "Vdpa", "VpaAlphabet", "acceptor", "bounded_equivalence", "build_pta",
+    "builtin", "dfa_to_vdpa", "edsm_learn", "evaluate", "generate_dataset", "is_well_matched",
+    "papni_learn", "preprocess_dataset", "render_dot", "rpni_learn", "runner", "split_dataset",
+    "to_stack_aware",
+}
+
+
+def test_public_api_is_pinned():
+    assert set(vpalearn.__all__) == PUBLIC_API
+    namespace: dict = {}
+    exec("from vpalearn import *", namespace)
+    assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]
+
+
 def test_criterion_2_rpni_failure_mode():
     dataset = as_dataset([p for p in WORKED_SAMPLES if p[0]])  # 10 non-empty words
     dfa = rpni_learn(dataset)
-    consistent = all(dfa_accepts(dfa, s.word) == s.label for s in dataset)
-    accepts_unmatched = dfa_accepts(dfa, tuple(")()"))
+    consistent = all(acceptor(dfa)(s.word) == s.label for s in dataset)
+    accepts_unmatched = acceptor(dfa)(tuple(")()"))
     ok = consistent and dfa.size == 5 and accepts_unmatched
     _report(2, ok, f"size={dfa.size}, consistent={consistent}, "
                    f"accepts ')()'={accepts_unmatched}")
@@ -179,7 +201,7 @@ def test_criterion_5_property_suites():
         for _ in range(150):
             word = _random_word(rng, symbols, 14)
             cases += 1
-            if vdpa_accepts(gt.vdpa, word).accepted and not is_well_matched(word, gt.alphabet):
+            if runner(gt.vdpa)(word).accepted and not is_well_matched(word, gt.alphabet):
                 failures.append(f"(a) {name} accepted non-matched {word}")
     assert cases >= 1000
 
@@ -208,8 +230,7 @@ def test_criterion_5_property_suites():
         for _ in range(30):
             word = random_well_matched(rng, XML, 14)
             cases += 1
-            if vdpa_accepts(lifted, word).accepted != dfa_accepts(
-                    dfa, to_stack_aware(word, XML)):
+            if runner(lifted)(word).accepted != acceptor(dfa)(to_stack_aware(word, XML)):
                 failures.append(f"(c) lift disagreed on {word}")
     assert cases >= 1000
 
@@ -225,7 +246,7 @@ def test_criterion_5_property_suites():
             dfa = learn(ds)
             for word, label in unique.items():
                 cases += 1
-                if dfa_accepts(dfa, word) != label:
+                if acceptor(dfa)(word) != label:
                     failures.append(f"(d) {learn.__name__} inconsistent on {word}")
 
     # (e) empty call/return alphabets reduce the pipeline to its backend
@@ -242,7 +263,7 @@ def test_criterion_5_property_suites():
         probe = list(unique) + [_random_word(rng, "ab", 8) for _ in range(20)]
         for word in probe:
             cases += 1
-            if vdpa_accepts(vdpa, word).accepted != dfa_accepts(dfa, word):
+            if runner(vdpa)(word).accepted != acceptor(dfa)(word):
                 failures.append(f"(e) degenerate pipeline diverged on {word}")
 
     elapsed = time.perf_counter() - t0

@@ -19,16 +19,14 @@ from vpalearn import (
     acceptor,
     bounded_equivalence,
     builtin,
-    classify,
-    dfa_accepts,
     generate_dataset,
     is_well_matched,
     papni_learn,
     render_dot,
     rpni_learn,
-    vdpa_accepts,
+    runner,
 )
-from vpalearn.automata import canonical_names, edges, model_symbols, runner
+from vpalearn.automata import canonical_names, classify, edges, model_symbols
 
 from conftest import (as_dataset, oracle_bounded_equivalence, oracle_dfa_walk,
                       oracle_vdpa_reason, oracle_well_matched)
@@ -194,54 +192,24 @@ def test_runner_agrees_with_the_oracles(case):
             assert run(word) is Reason(expected), word
 
 
-@given(_models_and_words())
-@settings(max_examples=300, deadline=None)
-def test_reason_run_agrees_with_the_oracles(case):
-    # a foreign symbol raises only when the run reaches it: an empty pop or
-    # a missing move before it ends the run with its verdict
-    model, words = case
-    for word in words:
-        if isinstance(model, Vdpa):
-            expected = oracle_vdpa_reason(model, word)
-            if expected is None:
-                with pytest.raises(AlphabetError):
-                    vdpa_accepts(model, word)
-            else:
-                assert vdpa_accepts(model, word) is Reason(expected), word
-            continue
-        foreign = [i for i, sym in enumerate(word) if sym not in model.alphabet]
-        if not foreign:
-            assert dfa_accepts(model, word) is oracle_dfa_walk(model, word), word
-            continue
-        # with every state accepting, the walk accepts exactly the words it
-        # runs to the end, here the prefix before the first foreign symbol
-        everywhere = dataclasses.replace(model, accepting=model.states)
-        if oracle_dfa_walk(everywhere, word[:foreign[0]]):
-            with pytest.raises(AlphabetError):
-                dfa_accepts(model, word)
-        else:
-            assert dfa_accepts(model, word) is False, word
-
-
 class TestDfaAccepts:
     def test_empty_word_rejected_by_worked_model(self, stack_aware_parens_dfa):
-        assert not dfa_accepts(stack_aware_parens_dfa, ())
+        assert not acceptor(stack_aware_parens_dfa)(())
 
     def test_empty_word_is_initial_acceptance(self):
         dfa = Dfa(frozenset({"q"}), frozenset({"x"}), {}, "q", frozenset({"q"}))
-        assert dfa_accepts(dfa, ())
+        assert acceptor(dfa)(())
 
     def test_nested_pair_accepted(self, stack_aware_parens_dfa):
-        assert dfa_accepts(stack_aware_parens_dfa, W("( ( )|( )|("))
+        assert acceptor(stack_aware_parens_dfa)(W("( ( )|( )|("))
 
     def test_missing_transition_rejects(self, stack_aware_parens_dfa):
-        assert not dfa_accepts(stack_aware_parens_dfa, W(")|( ( )|("))
+        assert not acceptor(stack_aware_parens_dfa)(W(")|( ( )|("))
         # s2 is a sink with full transitions, so this lands in s2: rejected
-        assert not dfa_accepts(stack_aware_parens_dfa, W("( )|( ("))
+        assert not acceptor(stack_aware_parens_dfa)(W("( )|( ("))
 
-    def test_foreign_symbol_is_an_error(self, stack_aware_parens_dfa):
-        with pytest.raises(AlphabetError):
-            dfa_accepts(stack_aware_parens_dfa, ("x",))
+    def test_foreign_symbol_rejects(self, stack_aware_parens_dfa):
+        assert not acceptor(stack_aware_parens_dfa)(("x",))
 
     def test_agrees_with_table_walk_oracle(self):
         rng = random.Random(11)
@@ -256,36 +224,37 @@ class TestDfaAccepts:
             for _ in range(120):
                 words.append(tuple(rng.choice(symbols)
                                    for _ in range(rng.randint(1, 6))))
+            accepts = acceptor(dfa)
             for word in words:
-                assert dfa_accepts(dfa, word) == oracle_dfa_walk(dfa, word)
+                assert accepts(word) == oracle_dfa_walk(dfa, word)
 
 
 class TestVdpaAccepts:
     def test_arithmetic_accepted_words(self, arith_gt):
         for text in ("1", "( 1 )", "1 + ( 1 )", "( 1 ) + ( ( 1 ) )"):
-            assert vdpa_accepts(arith_gt.vdpa, W(text)).accepted, text
+            assert runner(arith_gt.vdpa)(W(text)).accepted, text
 
     def test_arithmetic_rejected_words(self, arith_gt):
         for text in ("( )", ") (", "( 1 ) + ( )", "( ( ) )"):
-            verdict = vdpa_accepts(arith_gt.vdpa, W(text))
+            verdict = runner(arith_gt.vdpa)(W(text))
             assert not verdict.accepted, text
 
     def test_pop_from_empty_stack(self, parens_gt):
-        verdict = vdpa_accepts(parens_gt.vdpa, W(") ("))
+        verdict = runner(parens_gt.vdpa)(W(") ("))
         assert verdict is Reason.POP_FROM_EMPTY_STACK
 
     def test_leftover_stack(self, parens_gt):
-        verdict = vdpa_accepts(parens_gt.vdpa, W("( ( )"))
+        verdict = runner(parens_gt.vdpa)(W("( ( )"))
         assert verdict is Reason.NON_EMPTY_STACK_AT_END
 
     def test_empty_word(self, parens_gt, arith_gt):
         # neither initial state is accepting
-        assert not vdpa_accepts(parens_gt.vdpa, ()).accepted
-        assert vdpa_accepts(parens_gt.vdpa, ()) is Reason.REJECTED_AT_STATE
+        assert not runner(parens_gt.vdpa)(()).accepted
+        assert runner(parens_gt.vdpa)(()) is Reason.REJECTED_AT_STATE
 
     def test_pure_function(self, parens_gt):
         word = W("( ( ) )")
-        assert vdpa_accepts(parens_gt.vdpa, word) == vdpa_accepts(parens_gt.vdpa, word)
+        assert runner(parens_gt.vdpa)(word) == runner(parens_gt.vdpa)(word)
 
     @given(st.lists(st.sampled_from(["(", ")"]), max_size=14))
     @settings(max_examples=300, deadline=None)
@@ -293,12 +262,12 @@ class TestVdpaAccepts:
         from vpalearn import builtin
 
         gt = builtin("balanced_parens")
-        if vdpa_accepts(gt.vdpa, word).accepted:
+        if runner(gt.vdpa)(word).accepted:
             assert is_well_matched(word, gt.alphabet)
 
     @given(st.sampled_from(BUILTIN_NAMES), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_no_vdpa_accepts_a_non_well_matched_word(self, name, data):
+    def test_no_pushdown_model_accepts_a_non_well_matched_word(self, name, data):
         # empty-stack acceptance: a word that pops an empty stack or leaves
         # calls open is rejected by every pushdown model, learned or not,
         # so comparing two of them on such words can never find a difference
@@ -312,14 +281,14 @@ class TestVdpaAccepts:
             pass
         word = data.draw(words.filter(lambda w: not oracle_well_matched(w, gt.alphabet)))
         for model in models:
-            assert not vdpa_accepts(model, word).accepted
+            assert not runner(model)(word).accepted
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_reason_matches_an_independent_walk(self, name, data):
-        # every Reason, and the step at which a foreign symbol raises: a run
-        # that stops earlier (empty pop, missing move) returns its verdict
+        # every Reason; a foreign symbol has no move, so a run that reaches
+        # it ends as UndefinedTransition
         gt = builtin(name)
         own = st.lists(st.sampled_from(sorted(gt.alphabet.symbols)), max_size=10).map(tuple)
         train = data.draw(st.dictionaries(own, st.booleans(), min_size=1, max_size=12))
@@ -333,11 +302,10 @@ class TestVdpaAccepts:
         for word in data.draw(st.lists(words, min_size=1, max_size=8)):
             for model in models:
                 expected = oracle_vdpa_reason(model, word)
-                if expected is None:
-                    with pytest.raises(AlphabetError):
-                        vdpa_accepts(model, word)
+                verdict = runner(model)(word)
+                if expected is None:  # the run reaches a foreign symbol
+                    assert verdict is Reason.UNDEFINED_TRANSITION, word
                     continue
-                verdict = vdpa_accepts(model, word)
                 assert verdict is Reason(expected), word
                 assert verdict.accepted is (expected == "Accepted")
 
@@ -377,7 +345,7 @@ class TestBoundedEquivalence:
         wider = dataclasses.replace(parens_gt.vdpa, accepting=parens_gt.vdpa.accepting | {"s2"})
         witness = bounded_equivalence(parens_gt.vdpa, wider, 40)
         assert witness == W("( ) ( )")
-        assert classify(parens_gt.vdpa, witness) != classify(wider, witness)
+        assert acceptor(parens_gt.vdpa)(witness) != acceptor(wider)(witness)
 
     def test_deep_chain_without_recursion(self):
         # one configuration per length, 1,199 symbols deep: a search that

@@ -21,8 +21,8 @@ from vpalearn import (
     is_well_matched,
     preprocess_dataset,
     render_dot,
+    runner,
     split_dataset,
-    vdpa_accepts,
 )
 
 from vpalearn.automata import _compile, edges
@@ -76,7 +76,7 @@ class TestBuiltins:
         symbols = sorted(gt.alphabet.symbols)
         for _ in range(500):
             word = tuple(rng.choice(symbols) for _ in range(rng.randrange(0, 10)))
-            if vdpa_accepts(gt.vdpa, word).accepted:
+            if runner(gt.vdpa)(word).accepted:
                 assert oracle_well_matched(word, gt.alphabet)
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -104,30 +104,30 @@ class TestBuiltins:
     def test_anbn_language(self):
         gt = builtin("anbn")
         for n in range(1, 6):
-            assert vdpa_accepts(gt.vdpa, ("a",) * n + ("b",) * n).accepted
-        assert not vdpa_accepts(gt.vdpa, ("a", "b", "a", "b")).accepted
-        assert not vdpa_accepts(gt.vdpa, ()).accepted
+            assert runner(gt.vdpa)(("a",) * n + ("b",) * n).accepted
+        assert not runner(gt.vdpa)(("a", "b", "a", "b")).accepted
+        assert not runner(gt.vdpa)(()).accepted
 
     def test_dyck2_language(self):
         gt = builtin("dyck2")
-        assert vdpa_accepts(gt.vdpa, tuple("([])()")).accepted
-        assert not vdpa_accepts(gt.vdpa, tuple("([)]")).accepted
-        assert vdpa_accepts(gt.vdpa, ()).accepted
+        assert runner(gt.vdpa)(tuple("([])()")).accepted
+        assert not runner(gt.vdpa)(tuple("([)]")).accepted
+        assert runner(gt.vdpa)(()).accepted
 
     def test_dyck1_parity(self):
         even, odd = builtin("dyck1_even"), builtin("dyck1_odd")
         w2, w3 = tuple("()()"), tuple("()()()")
-        assert vdpa_accepts(even.vdpa, w2).accepted
-        assert not vdpa_accepts(odd.vdpa, w2).accepted
-        assert not vdpa_accepts(even.vdpa, w3).accepted
-        assert vdpa_accepts(odd.vdpa, w3).accepted
+        assert runner(even.vdpa)(w2).accepted
+        assert not runner(odd.vdpa)(w2).accepted
+        assert not runner(even.vdpa)(w3).accepted
+        assert runner(odd.vdpa)(w3).accepted
 
     def test_nested_xml(self):
         gt = builtin("nested_xml_tags")
         ok = ("<a>", "text", "<b>", "</b>", "</a>")
         bad = ("<a>", "<b>", "</a>", "</b>")
-        assert vdpa_accepts(gt.vdpa, ok).accepted
-        assert not vdpa_accepts(gt.vdpa, bad).accepted
+        assert runner(gt.vdpa)(ok).accepted
+        assert not runner(gt.vdpa)(bad).accepted
 
 
 class TestGenConfig:
@@ -157,7 +157,7 @@ class TestGenerateDataset:
         gt = builtin("arithmetic_expr")
         ds = generate_dataset(gt, GenConfig(total=300, len_min=1, len_max=12, seed=5))
         for s in ds:
-            assert s.label == vdpa_accepts(gt.vdpa, s.word).accepted
+            assert s.label == runner(gt.vdpa)(s.word).accepted
 
     def test_lengths_respected(self):
         gt = builtin("dyck1")
@@ -174,9 +174,9 @@ class TestGenerateDataset:
         assert len({s.word for s in pos}) == 151
         assert len({s.word for s in neg}) == 150
         for s in pos:
-            assert vdpa_accepts(gt.vdpa, s.word).accepted
+            assert runner(gt.vdpa)(s.word).accepted
         for s in neg:
-            assert not vdpa_accepts(gt.vdpa, s.word).accepted
+            assert not runner(gt.vdpa)(s.word).accepted
 
     def test_balanced_mode_exhaustion(self):
         # only "aabb" is accepted at length 4, so 2 distinct positives

@@ -81,10 +81,10 @@ class TestLearn:
         assert code == EXIT_OK
         assert "model size: 5" in capsys.readouterr().out
         model = formats.parse_automaton(out.read_text())
-        from vpalearn import Dfa, dfa_accepts
+        from vpalearn import Dfa, acceptor
 
         assert isinstance(model, Dfa)
-        assert dfa_accepts(model, tuple(")()"))
+        assert acceptor(model)(tuple(")()"))
 
     def test_runs_are_byte_identical(self, tmp_path):
         data, alpha = write_worked_files(tmp_path)

@@ -8,9 +8,8 @@ from vpalearn import (
     LabeledDataset,
     NoWellMatchedSamplesError,
     VpaAlphabet,
+    acceptor,
     bounded_equivalence,
-    classify,
-    dfa_accepts,
     papni_learn,
     rpni_learn,
 )
@@ -36,7 +35,7 @@ class TestAutomatonFormat:
         assert back.alphabet == stack_aware_parens_dfa.alphabet
         assert len(back.states) == 3
         for word in [(), ("(", ")|("), ("(", ")|(", "(")]:
-            assert dfa_accepts(back, word) == dfa_accepts(stack_aware_parens_dfa, word)
+            assert acceptor(back)(word) == acceptor(stack_aware_parens_dfa)(word)
 
     def test_vdpa_round_trip(self, parens_gt):
         back = parse_automaton(dump_automaton(parens_gt.vdpa))
@@ -190,7 +189,7 @@ def _assert_model_round_trips(model, words):
     assert back.alphabet == model.alphabet
     assert len(back.states) == len(model.states)
     for word in words:
-        assert classify(back, word) == classify(model, word)
+        assert acceptor(back)(word) == acceptor(model)(word)
 
 
 @given(_alphabets_and_datasets())

@@ -9,13 +9,13 @@ from vpalearn import (
     NoWellMatchedSamplesError,
     PapniConfig,
     VpaAlphabet,
+    acceptor,
     bounded_equivalence,
-    dfa_accepts,
     dfa_to_vdpa,
     papni_learn,
     rpni_learn,
+    runner,
     to_stack_aware,
-    vdpa_accepts,
 )
 
 from conftest import as_dataset, random_well_matched
@@ -58,8 +58,7 @@ class TestDfaToVdpa:
         for _ in range(400):
             word = random_well_matched(rng, paren_alphabet, 16)
             rewritten = to_stack_aware(word, paren_alphabet)
-            assert vdpa_accepts(vdpa, word).accepted == dfa_accepts(
-                stack_aware_parens_dfa, rewritten)
+            assert runner(vdpa)(word).accepted == acceptor(stack_aware_parens_dfa)(rewritten)
 
     def test_foreign_symbol_rejected(self, paren_alphabet):
         dfa = Dfa(frozenset({"q"}), frozenset({"x"}), {(("q"), "x"): "q"},
@@ -110,7 +109,7 @@ class TestPapniLearn:
             pytest.skip("degenerate draw")
         for word, label in unique.items():
             if is_well_matched(word, arith_alphabet):
-                assert vdpa_accepts(vdpa, word).accepted is label
+                assert runner(vdpa)(word).accepted is label
 
     def test_degenerate_alphabet_matches_plain_rpni(self):
         alpha = VpaAlphabet(frozenset({"a", "b"}), frozenset(), frozenset())
@@ -125,7 +124,7 @@ class TestPapniLearn:
         rng = random.Random(9)
         for _ in range(300):
             word = tuple(rng.choice("ab") for _ in range(rng.randrange(0, 10)))
-            assert vdpa_accepts(vdpa, word).accepted == dfa_accepts(dfa, word)
+            assert runner(vdpa)(word).accepted == acceptor(dfa)(word)
 
     @pytest.mark.parametrize("alpha", _ALPHABETS, ids=["internal_only", "call_return"])
     def test_foreign_dataset_symbol(self, alpha):
@@ -147,5 +146,5 @@ class TestPapniLearn:
         rng = random.Random(13)
         for _ in range(500):
             word = tuple(rng.choice("()") for _ in range(rng.randrange(0, 12)))
-            if vdpa_accepts(vdpa, word).accepted:
+            if runner(vdpa)(word).accepted:
                 assert is_well_matched(word, paren_alphabet)

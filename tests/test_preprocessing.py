@@ -13,9 +13,8 @@ from vpalearn import (
     LabeledSample,
     TransformError,
     VpaAlphabet,
+    acceptor,
     builtin,
-    dfa_accepts,
-    from_stack_aware,
     generate_dataset,
     is_well_matched,
     preprocess_dataset,
@@ -23,7 +22,8 @@ from vpalearn import (
     to_stack_aware,
 )
 
-from conftest import WORKED_SAMPLES, as_dataset, oracle_well_matched, random_well_matched
+from conftest import (WORKED_SAMPLES, as_dataset, from_stack_aware, oracle_well_matched,
+                      random_well_matched)
 
 XML = VpaAlphabet(frozenset({"text"}), frozenset({"<a>", "<b>"}),
                   frozenset({"</a>", "</b>"}))
@@ -52,8 +52,8 @@ class TestLabeledDataset:
         assert [s.label for s in ds] == [True, False]
         assert all(type(s.label) is bool for s in ds)
         model = rpni_learn(ds)
-        assert dfa_accepts(model, ("a",))
-        assert not dfa_accepts(model, ("a", "a"))
+        assert acceptor(model)(("a",))
+        assert not acceptor(model)(("a", "a"))
 
     @pytest.mark.parametrize("label", [2, -1, 0.5, 1.0, 0.0, "+", "True", None])
     def test_other_labels_rejected(self, label):

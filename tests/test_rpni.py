@@ -13,9 +13,9 @@ from vpalearn import (
     LabeledDataset,
     LabeledSample,
     PapniConfig,
+    acceptor,
     build_pta,
     builtin,
-    dfa_accepts,
     edsm_learn,
     generate_dataset,
     papni_learn,
@@ -188,7 +188,7 @@ def test_merge_state_and_learner_memory_per_node(traced_learning):
 
 
 def _consistent(dfa, dataset):
-    return all(dfa_accepts(dfa, s.word) == s.label for s in dataset)
+    return all(acceptor(dfa)(s.word) == s.label for s in dataset)
 
 
 @pytest.mark.parametrize("learn", [rpni_learn, edsm_learn])
@@ -203,7 +203,7 @@ class TestLearners:
 
     def test_single_positive_empty_word(self, learn):
         dfa = learn(as_dataset([("", True)]))
-        assert dfa.size == 1 and dfa_accepts(dfa, ())
+        assert dfa.size == 1 and acceptor(dfa)(())
 
     def test_all_same_label_collapses(self, learn):
         ds = as_dataset([("a", True), ("aa", True), ("aaa", True), ("", True)])
@@ -219,8 +219,8 @@ class TestLearners:
         pairs = [("a" * n, n % 2 == 0) for n in range(8)]
         dfa = learn(as_dataset(pairs))
         assert dfa.size == 2
-        assert dfa_accepts(dfa, ("a",) * 20)
-        assert not dfa_accepts(dfa, ("a",) * 21)
+        assert acceptor(dfa)(("a",) * 20)
+        assert not acceptor(dfa)(("a",) * 21)
 
 
 class TestRpniWorkedExample:
@@ -228,7 +228,7 @@ class TestRpniWorkedExample:
         dfa = rpni_learn(worked_dataset)
         assert dfa.size == 5
         # the raw model accepts this non-well-matched word
-        assert dfa_accepts(dfa, tuple(")()"))
+        assert acceptor(dfa)(tuple(")()"))
 
     def test_preprocessed_learning_converges(self, worked_dataset, paren_alphabet,
                                              stack_aware_parens_dfa):
@@ -241,7 +241,7 @@ class TestRpniWorkedExample:
             words.append(tuple(rng.choice(["(", ")|("])
                                for _ in range(rng.randrange(1, 10))))
         for word in words:
-            assert dfa_accepts(dfa, word) == dfa_accepts(stack_aware_parens_dfa, word)
+            assert acceptor(dfa)(word) == acceptor(stack_aware_parens_dfa)(word)
 
 
 class TestEdsm:
