@@ -192,6 +192,35 @@ def test_runner_agrees_with_the_oracles(case):
             assert run(word) is Reason(expected), word
 
 
+@given(_models_and_words())
+@settings(max_examples=300, deadline=None)
+def test_reason_run_agrees_with_the_oracles(case):
+    # the verdict is that of the prefix before the first foreign symbol: an
+    # empty pop or a missing move there ends the run with its own verdict,
+    # and a prefix run to its end meets the foreign symbol as a missing move
+    model, words = case
+    run = runner(model)
+    for word in words:
+        foreign = [i for i, sym in enumerate(word) if sym not in model_symbols(model)]
+        prefix = word[:foreign[0]] if foreign else word
+        if isinstance(model, Vdpa):
+            ended = oracle_vdpa_reason(model, prefix)
+            if foreign and ended not in ("PopFromEmptyStack", "UndefinedTransition"):
+                assert run(word) is Reason.UNDEFINED_TRANSITION, word
+            else:
+                assert run(word) is Reason(ended), word
+            continue
+        # with every state accepting, the walk accepts exactly the words it
+        # runs to the end
+        everywhere = dataclasses.replace(model, accepting=model.states)
+        if foreign or not oracle_dfa_walk(everywhere, prefix):
+            assert run(word) is Reason.UNDEFINED_TRANSITION, word
+        elif oracle_dfa_walk(model, word):
+            assert run(word) is Reason.ACCEPTED, word
+        else:
+            assert run(word) is Reason.REJECTED_AT_STATE, word
+
+
 class TestDfaAccepts:
     def test_empty_word_rejected_by_worked_model(self, stack_aware_parens_dfa):
         assert not acceptor(stack_aware_parens_dfa)(())
