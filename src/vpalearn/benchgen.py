@@ -190,7 +190,7 @@ def builtin(name: str) -> GroundTruth:
     try:
         factory = _BUILTINS[name]
     except KeyError:
-        raise KeyError(f"unknown grammar {name!r}; available: {', '.join(BUILTIN_NAMES)}")
+        raise KeyError(f"unknown grammar {name!r}; available: {', '.join(BUILTIN_NAMES)}") from None
     vdpa = factory()
     return GroundTruth(name, vdpa)
 
@@ -301,7 +301,7 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
             raise GenerationError(f"could not sample {n_neg} distinct rejected words from {gt.name!r}")
         budget -= 1
         word = _uniform_word(rng, symbols, cfg)
-        if word not in positives and run(word) is not accepted:
+        if run(word) is not accepted:
             negatives.add(word)
     samples = [LabeledSample(w, True) for w in sorted(positives)]
     samples += [LabeledSample(w, False) for w in sorted(negatives)]

@@ -95,12 +95,16 @@ def _load_dataset(path: str):
     return dataset
 
 
+def _builtin(name: str) -> GroundTruth:
+    try:
+        return builtin(name)
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        raise _CliError(EXIT_INPUT, exc.args[0])
+
+
 def _ground_truth(args) -> GroundTruth:
     if args.grammar is not None:
-        try:
-            return builtin(args.grammar)
-        except KeyError as exc:
-            raise _CliError(EXIT_INPUT, str(exc))
+        return _builtin(args.grammar)
     model = _load(formats.parse_automaton, args.automaton, "automaton")
     if not isinstance(model, Vdpa):
         raise _CliError(EXIT_INPUT, "ground-truth automaton must be a vdpa")
@@ -206,10 +210,7 @@ def cmd_check(args) -> int:
 
 def cmd_benchmark(args) -> int:
     # every name is resolved before the first dataset is generated
-    try:
-        truths = [builtin(g) for part in args.grammars for g in part.split(",") if g]
-    except KeyError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
+    truths = [_builtin(g) for part in args.grammars for g in part.split(",") if g]
     if not truths:
         raise _CliError(EXIT_INPUT, "no grammar names given")
     if args.out is not None:

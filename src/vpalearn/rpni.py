@@ -151,12 +151,6 @@ class MergeState:
             x = parent[x]
         return x
 
-    def block_transitions(self, rep: int) -> dict[str, int]:
-        """Outgoing transitions of a block, targets resolved to reps."""
-        k = len(self.symbols)
-        row = self.child[rep * k:rep * k + k]
-        return {sym: self.find(dst) for sym, dst in zip(self.symbols, row) if dst}
-
     def trial_merge(self, a: int, b: int) -> Optional[int]:
         """Union the blocks of a and b and cascade determinization folds.
 
@@ -257,16 +251,20 @@ class MergeState:
 
 
 def _blue_frontier(merger: MergeState, red: list[int]) -> list[int]:
-    return sorted({t for r in red for t in merger.block_transitions(r).values()} - set(red))
+    """The blocks one move from a red block that are not red, in shortlex order."""
+    find, child, k = merger.find, merger.child, len(merger.symbols)
+    return sorted({find(dst) for r in red for dst in child[r * k:r * k + k] if dst} - set(red))
 
 
 def _emit_dfa(merger: MergeState, red: list[int]) -> Dfa:
     """The quotient on the final reds. With no blue left they are exactly the
     blocks reachable from the root block 0, and every block holds a prefix of
     a training word, so reaches a labeled block: the model is trim as it is."""
-    moves = {(rep, sym): dst for rep in red for sym, dst in merger.block_transitions(rep).items()}
+    find, child, symbols, k = merger.find, merger.child, merger.symbols, len(merger.symbols)
+    moves = {(rep, sym): find(dst) for rep in red
+             for sym, dst in zip(symbols, child[rep * k:rep * k + k]) if dst}
     accepting = frozenset(rep for rep in red if merger.count[rep] > 0)
-    return Dfa(frozenset(red), frozenset(merger.symbols), moves, 0, accepting)
+    return Dfa(frozenset(red), frozenset(symbols), moves, 0, accepting)
 
 
 def _learn(dataset: LabeledDataset, use_evidence: bool) -> Dfa:

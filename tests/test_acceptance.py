@@ -30,8 +30,6 @@ import vpalearn
 from vpalearn import (
     Dfa,
     GenConfig,
-    LabeledDataset,
-    LabeledSample,
     VpaAlphabet,
     acceptor,
     bounded_equivalence,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from vpalearn import (
     BUILTIN_NAMES,
     AlphabetError,
-    EvalMetrics,
     GenConfig,
     GenerationError,
     GroundTruth,
@@ -18,7 +17,6 @@ from vpalearn import (
     builtin,
     evaluate,
     generate_dataset,
-    is_well_matched,
     preprocess_dataset,
     render_dot,
     runner,
@@ -64,8 +62,10 @@ class TestBuiltins:
             "dyck1_even", "dyck1_odd", "dyck2", "nested_xml_tags")
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as excinfo:
             builtin("no_such_grammar")
+        # raised from None: a traceback shows no "During handling" lookup error
+        assert excinfo.value.__suppress_context__ and excinfo.value.__cause__ is None
 
     @pytest.mark.parametrize("name", [
         "anbn", "arithmetic_expr", "balanced_parens", "dyck1",

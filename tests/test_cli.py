@@ -251,7 +251,8 @@ class TestGenerate:
     def test_unknown_grammar(self, tmp_path, capsys):
         code = main(["generate", "--grammar", "bogus", "--out", str(tmp_path / "d.txt")])
         assert code == EXIT_INPUT
-        assert "available" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: unknown grammar 'bogus'; available: {', '.join(BUILTIN_NAMES)}\n")
 
     def test_empty_grammar_name(self, tmp_path):
         assert main(["generate", "--grammar", "", "--out", str(tmp_path / "d.txt")]) == EXIT_INPUT
@@ -492,7 +493,8 @@ class TestBenchmark:
         code = main(["benchmark", "--grammars", "dyck1,bogus", "--repeats", "1",
                      "--total", "100", "--mode", "balanced"])
         assert code == EXIT_INPUT
-        assert "bogus" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: unknown grammar 'bogus'; available: {', '.join(BUILTIN_NAMES)}\n")
         assert generated == []
 
     def test_directory_as_output(self, tmp_path, capsys):

@@ -379,13 +379,28 @@ def test_rejected_merges_stay_rejected(dataset):
     """Runs EDSM by hand through MergeState with no rejected-pair cache. After
     every commit, each merge rejected so far, re-tried by PTA node ids, must
     still conflict, and no two red blocks may share a block; the run must end
-    at the model edsm_learn learns with the cache."""
+    at the model edsm_learn learns with the cache. Every round's blue frontier,
+    and the emitted model's edges, must equal those read off a second copy of
+    the prefix tree, which the merger does not rewrite."""
+    pta = build_pta(dataset)
+    k = len(pta.symbols)
     merger = MergeState(build_pta(dataset))
+
+    def quotient(red):
+        # (block, symbol, block) for every edge of the tree leaving a red block
+        find, reds = merger.find, set(red)
+        return {
+            (find(n), sym, find(c))
+            for n in range(pta.size) if find(n) in reds
+            for sym, c in zip(pta.symbols, pta.child[n * k:n * k + k]) if c
+        }
+
     red_ids = [0]  # PTA node ids, one per red block
     rejected: list[tuple[int, int]] = []
     while True:
         red = sorted(merger.find(r) for r in red_ids)
         blues = _blue_frontier(merger, red)
+        assert blues == sorted({dst for _, _, dst in quotient(red)} - set(red))
         if not blues:
             break
         best = orphan = None
@@ -414,7 +429,9 @@ def test_rejected_merges_stay_rejected(dataset):
             score = merger.trial_merge(red_id, blue_id)
             merger.rollback()
             assert score is None
-    assert _emit_dfa(merger, red) == edsm_learn(dataset)
+    model = _emit_dfa(merger, red)
+    assert {(src, sym, dst) for (src, sym), dst in model.transitions.items()} == quotient(red)
+    assert model == edsm_learn(dataset)
 
 
 # words over multi-character symbols too, so that shortlex compares symbol
