@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Literal, Optional, get_args
+from functools import cached_property
+from typing import Callable, Literal, Optional, get_args
 
 # classify is unused here: only bench/spans.py rebinds benchgen.classify (ROADMAP item 3)
 from .automata import (  # noqa: F401
@@ -34,6 +35,38 @@ class GroundTruth:
     @property
     def alphabet(self) -> VpaAlphabet:
         return self.vdpa.alphabet
+
+    # Built on first use and kept in the instance dict, which the fields,
+    # equality and repr do not read: a truth compiles once, builtin() never.
+    @cached_property
+    def _run(self) -> Callable[[Word], Reason]:
+        return runner(self.vdpa)
+
+    @cached_property
+    def _walk(self) -> tuple[list, int, frozenset[int]]:
+        """The accepting walk's table, read from the compiled one: the entry
+        for (state, stack top, room) sits at the state's base plus the top's
+        code plus the room. The empty stack's code is 0, the i-th call's in
+        symbol order 3i, and bases step by 3 (calls + 1). An entry holds the
+        options, their count and its bit length; an option, its symbol, the
+        next base and a push code (0 internal, the call's top code, -1 pop).
+        Also the initial base and the accepting states' bases."""
+        moves, accepting, initial, calls, _ = _compile(self.vdpa)
+        tops = {call: 3 * i for i, call in enumerate(sorted(calls), 1)}
+        width = 3 * (len(tops) + 1)
+        entries = []
+        for row in moves:
+            # rank 0 internal, 1 call, 2 return keyed (return, popped call)
+            ranked = sorted((2 if isinstance(sym, tuple) else sym in calls, sym, dst)
+                            for sym, dst in row.items())
+            internal = [(sym, width * dst, 0) for rank, sym, dst in ranked if rank == 0]
+            pushes = [(sym, width * dst, tops[sym]) for rank, sym, dst in ranked if rank == 1]
+            for top in (None, *tops):  # in top code order
+                pops = [(sym[0], width * dst, -1) for rank, sym, dst in ranked
+                        if rank == 2 and sym[1] == top]
+                for options in (pops, internal + pops, internal + pushes + pops):
+                    entries.append((options, len(options), len(options).bit_length()))
+        return entries, width * initial, frozenset(width * q for q, flag in enumerate(accepting) if flag)
 
 
 Mode = Literal["uniform", "balanced"]
@@ -222,46 +255,40 @@ def _uniform_word(rng: random.Random, symbols: list[str], cfg: GenConfig) -> Wor
     return tuple(word)
 
 
-def _accepting_walk(rng: random.Random, table: tuple, memo: dict, length: int) -> Optional[Word]:
-    """One random walk of exactly `length` steps over a model's compiled
-    table that must end accepting with an empty stack; pushes are pruned so
-    the stack can always drain in time. Each step draws as
-    ``rng.randrange(len(options))`` would. The options are the state's row:
-    internal moves, then call moves, then return moves for the stack top,
-    each kind in symbol order, so the walk is reproducible across processes.
-    ``memo`` keeps each option list, built once per dataset, so the walk
-    itself never sorts."""
-    moves, accepting, state, calls, rets = table
+def _accepting_walk(rng: random.Random, walk: tuple, length: int) -> Optional[Word]:
+    """One random walk of exactly `length` steps over a truth's walk table
+    (``GroundTruth._walk``) that must end accepting with an empty stack;
+    pushes are pruned so the stack can always drain in time. Each step draws
+    as ``rng.randrange(len(options))`` would. The options are the state's
+    row: internal moves, then call moves, then return moves for the stack
+    top, each kind in symbol order, so the walk is reproducible across
+    processes. The room left after the step picks the entry: 2 while a call
+    can still be closed, 1 when no call fits and 0 when the stack must drain.
+    A step indexes one list; the top and depth stay in locals."""
+    entries, base, accepting = walk
     getrandbits = rng.getrandbits
-    stack: list[str] = []
+    top, depth = 0, 0
+    below: list[int] = []  # the top codes under the top
     word: list[str] = []
     for remaining_after in range(length - 1, -1, -1):
-        depth = len(stack)
-        top = stack[-1] if stack else None
-        key = (state, top, depth <= remaining_after, depth < remaining_after)
-        entry = memo.get(key)
-        if entry is None:
-            # rank 0 internal, 1 call, 2 return keyed (return, popped call)
-            ranked = sorted((2 if isinstance(sym, tuple) else sym in calls, sym, dst)
-                            for sym, dst in moves[state].items())
-            options = [(sym, dst) for rank, sym, dst in ranked if rank < 2 and key[2 + rank]]
-            options += [(sym[0], dst) for rank, sym, dst in ranked if rank == 2 and sym[1] == top]
-            entry = memo[key] = (options, len(options), len(options).bit_length())
-        options, n, k = entry
+        options, n, k = entries[base + top + (depth <= remaining_after) + (depth < remaining_after)]
         if not n:
             return None
         i = getrandbits(k)
         while i >= n:
             i = getrandbits(k)
-        sym, state = options[i]
-        if sym in calls:
-            stack.append(sym)
-        elif sym in rets:
-            stack.pop()
+        sym, base, push = options[i]
+        if push > 0:
+            below.append(top)
+            top = push
+            depth += 1
+        elif push:
+            top = below.pop()
+            depth -= 1
         word.append(sym)
-    if accepting[state] and not stack:
-        return tuple(word)
-    return None
+    if depth or base not in accepting:
+        return None
+    return tuple(word)
 
 
 def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
@@ -273,7 +300,7 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
     """
     rng = random.Random(cfg.seed)
     symbols = sorted(gt.alphabet.symbols)
-    run, accepted = runner(gt.vdpa), Reason.ACCEPTED
+    run, accepted = gt._run, Reason.ACCEPTED
     if cfg.mode == "uniform":
         samples = []
         for _ in range(cfg.total):
@@ -283,7 +310,7 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
     n_pos = cfg.total // 2 + cfg.total % 2
     n_neg = cfg.total - n_pos
     budget = 100 * cfg.total
-    table, memo = _compile(gt.vdpa), {}
+    walk = gt._walk
     positives: set[Word] = set()
     while len(positives) < n_pos:
         if budget <= 0:
@@ -292,7 +319,7 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
                 f"[{cfg.len_min}, {cfg.len_max}] from {gt.name!r}")
         budget -= 1
         length = cfg.len_min + _randbelow(rng.getrandbits, cfg.len_max - cfg.len_min + 1)
-        word = _accepting_walk(rng, table, memo, length)
+        word = _accepting_walk(rng, walk, length)
         if word is not None:
             positives.add(word)
     negatives: set[Word] = set()

@@ -250,7 +250,8 @@ def cmd_benchmark(args) -> int:
         _write(args.out, "\n".join(report), "report")
     _manifest([("command", "benchmark"), ("grammars", ",".join(gt.name for gt in truths)),
                ("repeats", args.repeats), ("seed", args.seed),
-               ("total", args.total), ("out", args.out or "-")], None)
+               ("total", args.total), ("mode", args.mode), ("backend", args.backend),
+               ("out", args.out or "-")], None)
     return EXIT_OK
 
 

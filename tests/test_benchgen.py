@@ -14,6 +14,7 @@ from vpalearn import (
     LabeledDataset,
     Vdpa,
     VpaAlphabet,
+    benchgen,
     builtin,
     evaluate,
     generate_dataset,
@@ -23,7 +24,7 @@ from vpalearn import (
     split_dataset,
 )
 
-from vpalearn.automata import _compile, edges
+from vpalearn.automata import edges
 from vpalearn.benchgen import _accepting_walk, _randbelow, _uniform_word
 from vpalearn.formats import dump_automaton, dump_dataset
 
@@ -194,6 +195,32 @@ class TestGenerateDataset:
             generate_dataset(gt, GenConfig(total=4, len_min=1, len_max=4,
                                            seed=0, mode="balanced"))
 
+    def test_caches_are_built_on_first_use(self):
+        # the bench's set-up probe calls builtin() for every grammar, so
+        # neither builtin() nor the constructor may compile anything
+        for name in BUILTIN_NAMES:
+            gt = builtin(name)
+            for truth in (gt, GroundTruth(name, gt.vdpa)):
+                assert not {"_run", "_walk"} & vars(truth).keys()
+
+    def test_datasets_of_one_truth_share_its_caches(self, monkeypatch):
+        built = []
+        for name in ("_compile", "runner"):
+            def counted(model, build=getattr(benchgen, name), name=name):
+                built.append(name)
+                return build(model)
+            monkeypatch.setattr(benchgen, name, counted)
+        gt = builtin("dyck2")
+        generate_dataset(gt, GenConfig(total=20, len_max=12, seed=1))
+        assert "_walk" not in vars(gt)  # a uniform dataset never walks
+        caches = []
+        for seed in (1, 2):
+            generate_dataset(gt, GenConfig(total=20, len_max=12, seed=seed, mode="balanced"))
+            caches.append((vars(gt)["_run"], vars(gt)["_walk"]))
+        assert caches[0][0] is caches[1][0] and caches[0][1] is caches[1][1]
+        assert sorted(built) == ["_compile", "runner"]
+        assert gt == builtin("dyck2")
+
     def test_different_seeds_differ(self):
         gt = builtin("dyck1")
         a = generate_dataset(gt, GenConfig(total=100, seed=1))
@@ -320,7 +347,7 @@ def test_draws_equal_the_stdlib_draws(seed, n, lo, len_min, len_extra):
 
 
 def _oracle_walk(rng, vdpa, length):
-    """The accepting walk before its option lists were memoized: the list is
+    """The accepting walk before its option lists were tabled: the list is
     rebuilt at every step and the step is drawn by randrange. The options
     come from the model's edges, per kind and in symbol order."""
     moves = {"internal": {}, "call": {}, "return": {}}
@@ -352,12 +379,38 @@ def _oracle_walk(rng, vdpa, length):
        st.lists(st.integers(1, 30), min_size=1, max_size=20))
 @settings(max_examples=100, deadline=None)
 def test_walks_equal_the_unmemoized_walks(name, seed, lengths):
-    vdpa = builtin(name).vdpa
+    _assert_walks_equal_the_oracle(builtin(name), seed, lengths)
+
+
+def _assert_walks_equal_the_oracle(gt, seed, lengths):
+    # one table across the walks, as in the datasets drawn from one truth
     ours, oracle = random.Random(seed), random.Random(seed)
-    table, memo = _compile(vdpa), {}  # one memo across the walks, as in a dataset
     for length in lengths:
-        assert _accepting_walk(ours, table, memo, length) == _oracle_walk(oracle, vdpa, length)
+        assert _accepting_walk(ours, gt._walk, length) == _oracle_walk(oracle, gt.vdpa, length)
         assert ours.getstate() == oracle.getstate()
+
+
+@st.composite
+def _walk_models(draw):
+    """A VDPA over an internal symbol, two calls and two returns. Its drawn
+    moves join five of its six states, so some states have no moves or
+    cannot be reached; state 5 never has a move."""
+    states = st.integers(0, 4)
+    calls = st.sampled_from(["(", "["])
+
+    def table(*keys):
+        return draw(st.dictionaries(st.tuples(states, *keys), states, max_size=10))
+
+    return Vdpa(range(6), VpaAlphabet({"i"}, {"(", "["}, {")", "]"}), table(st.just("i")),
+                table(calls), table(st.sampled_from([")", "]"]), calls), draw(states),
+                draw(st.sets(st.integers(0, 5))))
+
+
+@given(_walk_models(), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(1, 30), min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_walks_on_drawn_models_equal_the_unmemoized_walks(vdpa, seed, lengths):
+    _assert_walks_equal_the_oracle(GroundTruth("drawn", vdpa), seed, lengths)
 
 
 # sha256 of dump_dataset for the generated dataset and for both halves of

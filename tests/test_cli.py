@@ -456,6 +456,8 @@ class TestBenchmark:
             "repeats: 2\n"
             "seed: 4\n"
             "total: 100\n"
+            "mode: balanced\n"
+            "backend: rpni\n"
             f"out: {out}\n")
         assert out.read_text() == (
             "grammar: dyck1\nlearner: rpni\nmean_f1: 0.696091\nstd_f1: 0.073140\n"
@@ -466,6 +468,18 @@ class TestBenchmark:
             "mean_model_size: 15.50\nwall_time_s: 0.042\n\n"
             "grammar: dyck1_even\nlearner: papni\nmean_f1: 1.000000\nstd_f1: 0.000000\n"
             "mean_model_size: 1.00\nwall_time_s: 0.050\n")
+
+    def test_manifest_tells_the_modes_apart(self, capsys):
+        # the same flags but --mode draw other data, so the manifest differs too
+        manifests = {}
+        for mode in ("uniform", "balanced"):
+            code = main(["benchmark", "--grammars", "dyck1", "--repeats", "1",
+                         "--total", "300", "--seed", "4", "--mode", mode])
+            assert code == EXIT_OK
+            stdout = capsys.readouterr().out
+            manifests[mode] = stdout[stdout.index("command: benchmark\n"):]
+        assert manifests["uniform"] != manifests["balanced"]
+        assert "\nmode: uniform\nbackend: rpni\n" in manifests["uniform"]
 
     def test_comma_separated_grammars(self, tmp_path, capsys):
         code = main(["benchmark", "--grammars", "dyck1,dyck1_even",
