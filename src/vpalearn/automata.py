@@ -202,14 +202,28 @@ def _compile(model: Automaton) -> tuple[list[dict], list[bool], int, frozenset, 
 
 def runner(model: Automaton) -> Callable[[Word], Reason]:
     """The model's run as a function of the word, its table compiled once:
-    the run keeps a stack of call symbols and returns the ``Reason`` it ends
-    with. A step indexes a list and then a dict, and a missing move, for a
-    symbol outside the alphabet too, ends the run as ``UNDEFINED_TRANSITION``,
-    so the stack may change before it. Nothing raises."""
+    it returns the ``Reason`` the run ends with. A step indexes a list and
+    then a dict, and a missing move, for a symbol outside the alphabet too,
+    ends the run as ``UNDEFINED_TRANSITION``. Nothing raises. The compiled
+    table picks the loop: with return symbols the run keeps a stack of call
+    symbols, which may change before a missing move ends it; without them,
+    as for every DFA, a step is the lookup alone."""
     moves, accepting, initial, calls, rets = _compile(model)
     ends = [Reason.ACCEPTED if flag else Reason.REJECTED_AT_STATE for flag in accepting]
     empty_pop, open_calls = Reason.POP_FROM_EMPTY_STACK, Reason.NON_EMPTY_STACK_AT_END
     undefined = Reason.UNDEFINED_TRANSITION
+
+    if not rets:  # and so no calls: nothing is ever stacked
+        def run_flat(word: Word) -> Reason:
+            state = initial
+            try:
+                for sym in word:
+                    state = moves[state][sym]
+            except KeyError:  # no move for this symbol, foreign or not
+                return undefined
+            return ends[state]
+
+        return run_flat
 
     def run(word: Word) -> Reason:
         state, stack = initial, []

@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Literal, Optional, get_args
+from itertools import islice
+from typing import Callable, Iterator, Literal, Optional, get_args
 
 # classify is unused here: only bench/spans.py rebinds benchgen.classify (ROADMAP item 3)
 from .automata import (  # noqa: F401
@@ -231,8 +232,9 @@ def builtin(name: str) -> GroundTruth:
 def _randbelow(getrandbits, n: int) -> int:
     """``rng.randrange(n)`` with the same draws: ``getrandbits(k)``, k the bit
     length of n, repeated until the result is below n. ``choice``, ``randint``
-    and ``shuffle`` draw the same way, so the hot loops below run this loop
-    inline and still make byte-identical datasets."""
+    and ``shuffle`` draw the same way, so the hot loops below (the uniform
+    words, the accepting walk and ``_shuffle``) run this loop inline and
+    still make byte-identical datasets."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
@@ -240,19 +242,36 @@ def _randbelow(getrandbits, n: int) -> int:
     return r
 
 
-def _uniform_word(rng: random.Random, symbols: list[str], cfg: GenConfig) -> Word:
-    """The word ``rng.randint(len_min, len_max)`` times ``rng.choice(symbols)``
-    would draw."""
+def _shuffle(getrandbits, items: list) -> None:
+    """``rng.shuffle(items)`` with the same draws: from the last index down
+    to 1, swap it with an index drawn below it plus one."""
+    for i in range(len(items) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
+
+
+def _uniform_words(rng: random.Random, symbols: list[str], cfg: GenConfig) -> Iterator[Word]:
+    """Endless words, each the one ``rng.randint(len_min, len_max)`` times
+    ``rng.choice(symbols)`` would draw next; the draw widths and bounds are
+    bound once for all of them."""
     getrandbits = rng.getrandbits
-    n = len(symbols)
-    k = n.bit_length()
-    word = []
-    for _ in range(cfg.len_min + _randbelow(getrandbits, cfg.len_max - cfg.len_min + 1)):
-        i = getrandbits(k)
-        while i >= n:
+    n, len_min, span = len(symbols), cfg.len_min, cfg.len_max - cfg.len_min + 1
+    k, k_span = n.bit_length(), span.bit_length()
+    while True:
+        extra = getrandbits(k_span)
+        while extra >= span:
+            extra = getrandbits(k_span)
+        word = []
+        for _ in range(len_min + extra):
             i = getrandbits(k)
-        word.append(symbols[i])
-    return tuple(word)
+            while i >= n:
+                i = getrandbits(k)
+            word.append(symbols[i])
+        yield tuple(word)
 
 
 def _accepting_walk(rng: random.Random, walk: tuple, length: int) -> Optional[Word]:
@@ -299,13 +318,10 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
     rejected words; de-duplicated with resampling under a retry budget.
     """
     rng = random.Random(cfg.seed)
-    symbols = sorted(gt.alphabet.symbols)
-    run, accepted = gt._run, Reason.ACCEPTED
+    words = _uniform_words(rng, sorted(gt.alphabet.symbols), cfg)
+    run, accepted, make = gt._run, Reason.ACCEPTED, LabeledSample._checked
     if cfg.mode == "uniform":
-        samples = []
-        for _ in range(cfg.total):
-            word = _uniform_word(rng, symbols, cfg)
-            samples.append(LabeledSample(word, run(word) is accepted))
+        samples = [make(word, run(word) is accepted) for word in islice(words, cfg.total)]
         return LabeledDataset._checked(samples)  # one run labels every word
     n_pos = cfg.total // 2 + cfg.total % 2
     n_neg = cfg.total - n_pos
@@ -327,12 +343,12 @@ def generate_dataset(gt: GroundTruth, cfg: GenConfig) -> LabeledDataset:
         if budget <= 0:
             raise GenerationError(f"could not sample {n_neg} distinct rejected words from {gt.name!r}")
         budget -= 1
-        word = _uniform_word(rng, symbols, cfg)
+        word = next(words)
         if run(word) is not accepted:
             negatives.add(word)
-    samples = [LabeledSample(w, True) for w in sorted(positives)]
-    samples += [LabeledSample(w, False) for w in sorted(negatives)]
-    rng.shuffle(samples)
+    samples = [make(w, True) for w in sorted(positives)]
+    samples += [make(w, False) for w in sorted(negatives)]
+    _shuffle(rng.getrandbits, samples)
     return LabeledDataset._checked(samples)  # the positives are accepted, the negatives not
 
 
@@ -348,8 +364,7 @@ def split_dataset(dataset: LabeledDataset, seed: int = 0,
     neg = len(samples) - pos
     if pos < 2 or neg < 2:
         raise ValueError("need at least 2 distinct positives and 2 distinct negatives to split")
-    rng = random.Random(seed)
-    rng.shuffle(samples)
+    _shuffle(random.Random(seed).getrandbits, samples)
     half = len(samples) // 2
     train, evl = samples[:half], samples[half:]
     for want in (True, False):

@@ -175,13 +175,13 @@ def dump_dataset(dataset: LabeledDataset) -> str:
 
 
 def parse_dataset(text: str) -> LabeledDataset:
-    samples = []
+    samples, make = [], LabeledSample._checked
     for lineno, line in _content_lines(text):
         toks = line.split()
         if toks[0] not in ("+", "-"):
             raise FormatError(f"line {lineno}: expected '+' or '-' label, got {toks[0]!r}")
-        samples.append(LabeledSample(tuple(toks[1:]), toks[0] == "+"))
-    return LabeledDataset(samples)
+        samples.append(make(tuple(toks[1:]), toks[0] == "+"))
+    return LabeledDataset(samples)  # a file's words may conflict
 
 
 def dump_alphabet(alphabet: VpaAlphabet) -> str:

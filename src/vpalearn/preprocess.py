@@ -44,6 +44,19 @@ class LabeledSample:
                 raise ValueError(f"label must be a bool or 0/1, got {self.label!r}")
             object.__setattr__(self, "label", bool(self.label))
 
+    @classmethod
+    def _checked(cls, word: Word, label: bool) -> LabeledSample:
+        """A sample of a tuple and a bool the caller already holds, set
+        through the slots without the coercion above."""
+        sample = _new(cls)
+        _set_word(sample, word)
+        _set_label(sample, label)
+        return sample
+
+
+_new = object.__new__
+_set_word, _set_label = LabeledSample.word.__set__, LabeledSample.label.__set__
+
 
 @dataclass
 class LabeledDataset:
@@ -167,11 +180,11 @@ def preprocess_dataset(dataset: LabeledDataset, alphabet: VpaAlphabet,
     A symbol outside the alphabet raises ``AlphabetError``."""
     report = PreprocessReport()
     kept: list[LabeledSample] = []
-    symbols, pairs = alphabet.symbols, {}
+    symbols, pairs, make = alphabet.symbols, {}, LabeledSample._checked
     for sample in dataset:
         rewritten = _rewrite(sample.word, alphabet, symbols, pairs)
         if rewritten is not None:
-            kept.append(LabeledSample(rewritten, sample.label))
+            kept.append(make(rewritten, sample.label))
         elif sample.label:
             report.dropped_positive += 1
         else:

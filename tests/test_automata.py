@@ -103,6 +103,7 @@ class TestConstructorChecks:
 
 
 _ALPHABET = VpaAlphabet({"i"}, {"(", "["}, {")"})
+_INTERNAL_ONLY = VpaAlphabet({"i", "j"})
 _STATES = st.sampled_from([0, 1, 2])
 
 
@@ -112,10 +113,17 @@ def _table(*keys):
 
 @st.composite
 def _small_models(draw):
+    """A DFA over the stack-aware symbols, a VDPA over ``_ALPHABET``, or an
+    internal-only VDPA, which has no call or return to stack, so its run
+    takes the stackless loop as a DFA's does."""
     accepting = draw(st.sets(_STATES))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["dfa", "vdpa", "internal-only"]))
+    if kind == "dfa":
         symbols = sorted(_ALPHABET.stack_aware_symbols())
         return Dfa({0, 1, 2}, symbols, draw(_table(st.sampled_from(symbols))), 0, accepting)
+    if kind == "internal-only":
+        return Vdpa({0, 1, 2}, _INTERNAL_ONLY, draw(_table(st.sampled_from(["i", "j"]))),
+                    {}, {}, 0, accepting)
     calls = st.sampled_from(sorted(_ALPHABET.call))
     return Vdpa({0, 1, 2}, _ALPHABET, draw(_table(st.just("i"))), draw(_table(calls)),
                 draw(_table(st.just(")"), calls)), 0, accepting)

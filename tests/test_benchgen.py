@@ -12,6 +12,7 @@ from vpalearn import (
     GenerationError,
     GroundTruth,
     LabeledDataset,
+    LabeledSample,
     Vdpa,
     VpaAlphabet,
     benchgen,
@@ -25,8 +26,8 @@ from vpalearn import (
 )
 
 from vpalearn.automata import edges
-from vpalearn.benchgen import _accepting_walk, _randbelow, _uniform_word
-from vpalearn.formats import dump_automaton, dump_dataset
+from vpalearn.benchgen import _accepting_walk, _randbelow, _shuffle, _uniform_words
+from vpalearn.formats import dump_automaton, dump_dataset, parse_dataset
 
 from conftest import as_dataset, oracle_well_matched
 
@@ -325,9 +326,9 @@ class TestEvaluate:
        st.integers(1, 30), st.integers(0, 30))
 @settings(max_examples=200, deadline=None)
 def test_draws_equal_the_stdlib_draws(seed, n, lo, len_min, len_extra):
-    """The generator's inline rejection loop makes exactly the getrandbits
-    calls of randrange, randint and choice, so two generators seeded alike
-    stay in the same state after every pair of draws."""
+    """The generator's inline rejection loops make exactly the getrandbits
+    calls of randrange, randint, choice and shuffle, so two generators
+    seeded alike stay in the same state after every pair of draws."""
     ours, stdlib = random.Random(seed), random.Random(seed)
     seq = list(range(n))
     for _ in range(3):
@@ -337,13 +338,21 @@ def test_draws_equal_the_stdlib_draws(seed, n, lo, len_min, len_extra):
         assert ours.getstate() == stdlib.getstate()
         assert seq[_randbelow(ours.getrandbits, n)] == stdlib.choice(seq)
         assert ours.getstate() == stdlib.getstate()
+    shuffled, oracle_shuffled = seq[:], seq[:]
+    _shuffle(ours.getrandbits, shuffled)
+    stdlib.shuffle(oracle_shuffled)
+    assert shuffled == oracle_shuffled
+    assert ours.getstate() == stdlib.getstate()
     symbols = [f"x{i}" for i in range(n)]
     cfg = GenConfig(len_min=len_min, len_max=len_min + len_extra)
-    word = _uniform_word(ours, symbols, cfg)
-    # the oracle: the same word drawn through the stdlib calls
-    oracle = tuple(stdlib.choice(symbols) for _ in range(stdlib.randint(cfg.len_min, cfg.len_max)))
-    assert word == oracle
-    assert ours.getstate() == stdlib.getstate()
+    words = _uniform_words(ours, symbols, cfg)
+    for _ in range(2):  # the generator keeps its widths and bounds between words
+        word = next(words)
+        # the oracle: the same word drawn through the stdlib calls
+        oracle = tuple(stdlib.choice(symbols)
+                       for _ in range(stdlib.randint(cfg.len_min, cfg.len_max)))
+        assert word == oracle
+        assert ours.getstate() == stdlib.getstate()
 
 
 def _oracle_walk(rng, vdpa, length):
@@ -599,9 +608,9 @@ def test_datasets_are_byte_identical(name, mode, seed):
        st.integers(0, 2**32 - 1), st.integers(4, 60))
 @settings(max_examples=60, deadline=None)
 def test_library_datasets_pass_the_public_checks(name, mode, seed, total):
-    """Generation, split and preprocessing build their datasets without the
-    constructor's checks; each result is what the checked constructor makes
-    of its samples."""
+    """Generation, split, parsing and preprocessing build their samples or
+    datasets without the constructors' checks; each result is what the
+    checked constructors make of its samples."""
     gt = builtin(name)
     try:
         results = [generate_dataset(gt, GenConfig(total=total, len_max=12, seed=seed, mode=mode))]
@@ -611,6 +620,10 @@ def test_library_datasets_pass_the_public_checks(name, mode, seed, total):
         results += split_dataset(results[0], seed=seed)
     except ValueError:
         pass  # too few distinct words of one label to split
+    results += [parse_dataset(dump_dataset(results[0]))]
     results += [preprocess_dataset(d, gt.alphabet)[0] for d in results]
     for result in results:
         assert LabeledDataset(result.samples) == result
+        for s in result:
+            assert type(s.word) is tuple and type(s.label) is bool
+            assert s == LabeledSample(s.word, s.label)

@@ -64,20 +64,27 @@ class TestLabeledDataset:
 class TestLabeledSample:
     """A sample has slots: no __dict__ per instance, which a dataset of tens
     of thousands of samples would pay for, and no attribute beyond its two
-    fields."""
+    fields. The library's ``_checked`` path, for a tuple and a bool it
+    already holds, must make the same samples as the public constructor."""
+
+    MAKERS = (LabeledSample, LabeledSample._checked)
 
     def test_no_instance_dict(self):
-        sample = LabeledSample(("a",), True)
-        assert not hasattr(sample, "__dict__")
-        # frozen alone blocks `sample.weight = 1`; slots block it underneath
-        with pytest.raises(AttributeError):
-            object.__setattr__(sample, "weight", 1)
+        for make in self.MAKERS:
+            sample = make(("a",), True)
+            assert not hasattr(sample, "__dict__")
+            # frozen alone blocks `sample.weight = 1`; slots block it underneath
+            with pytest.raises(AttributeError):
+                object.__setattr__(sample, "weight", 1)
 
     def test_frozen(self):
-        sample = LabeledSample(("a",), True)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            sample.label = False
-        assert sample.label is True
+        for make in self.MAKERS:
+            sample = make(("a",), True)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                sample.label = False
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                sample.word = ("b",)
+            assert sample.label is True and sample.word == ("a",)
 
     def test_equality_hashing_and_coercion(self):
         assert LabeledSample(["a", "b"], 1) == LabeledSample(("a", "b"), True)
@@ -87,20 +94,26 @@ class TestLabeledSample:
         assert LabeledSample((), 0).label is False
         assert LabeledSample((), 1).label is True
         assert LabeledSample(["a"], True).word == ("a",)
+        for word, label in [((), False), ((), True), (("a",), True), (("a", "b"), False)]:
+            checked, public = LabeledSample._checked(word, label), LabeledSample(word, label)
+            assert checked == public and hash(checked) == hash(public)
+            assert type(checked.word) is tuple and type(checked.label) is bool
+            assert checked != LabeledSample(word, not label)
 
     def test_bytes_per_sample(self):
         # words and the list made beforehand, so only the samples are traced;
         # a sample takes 48 bytes; one with an instance dict took 90
         words = [("a",) * (i % 7) for i in range(2000)]
-        samples = [None] * len(words)
-        tracemalloc.start()
-        try:
-            for i, word in enumerate(words):
-                samples[i] = LabeledSample(word, i % 2 == 0)
-            traced = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert traced / len(samples) < 72
+        for make in self.MAKERS:
+            samples = [None] * len(words)
+            tracemalloc.start()
+            try:
+                for i, word in enumerate(words):
+                    samples[i] = make(word, i % 2 == 0)
+                traced = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert traced / len(samples) < 72, make
 
 
 class TestIsWellMatched:
