@@ -1,4 +1,4 @@
-"""Ground-truth grammars, seeded dataset generation, and evaluation.
+"""Ground-truth grammars, seeded dataset generation, evaluation and the F1 comparison.
 
 Built-ins cover the usual visibly-pushdown benchmark families: X^nY^n,
 Dyck languages over one and two bracket pairs, parity-constrained Dyck
@@ -8,6 +8,7 @@ variants, nested tags, and a small arithmetic-expression language.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -16,8 +17,9 @@ from typing import Callable, Iterator, Literal, Optional, get_args
 # classify is unused here: only bench/spans.py rebinds benchgen.classify (ROADMAP item 3)
 from .automata import (  # noqa: F401
     AlphabetError, Automaton, Dfa, Reason, Vdpa, VpaAlphabet, _compile, classify, runner)
-from .papni import dfa_to_vdpa
+from .papni import Backend, PapniConfig, dfa_to_vdpa, papni_learn
 from .preprocess import LabeledDataset, LabeledSample, Word
+from .rpni import rpni_learn
 
 
 class GenerationError(RuntimeError):
@@ -406,3 +408,18 @@ def evaluate(model: Automaton, dataset: LabeledDataset) -> EvalMetrics:
     else:
         f1, undefined = 0.0, undefined + ["f1"]
     return EvalMetrics(tp, fp, fn, tn, precision, recall, f1, tuple(undefined))
+
+
+def run_cell(train: LabeledDataset, evl: LabeledDataset, alphabet: VpaAlphabet,
+             backend: Backend = "rpni") -> dict[str, tuple[Automaton, float, float]]:
+    """The F1 comparison on one split: raw RPNI ("rpni"), then the pipeline on `backend`
+    ("papni"), each as (model, F1 on `evl`, seconds of its learn call alone)."""
+    config = PapniConfig(backend=backend)
+    cell = {}
+    for name, learn in (("rpni", lambda: rpni_learn(train)),
+                        ("papni", lambda: papni_learn(train, alphabet, config)[0])):
+        t0 = time.perf_counter()
+        model = learn()
+        elapsed = time.perf_counter() - t0
+        cell[name] = (model, evaluate(model, evl).f1, elapsed)
+    return cell

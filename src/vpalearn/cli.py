@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Optional, Sequence
@@ -29,7 +28,6 @@ from .automata import AlphabetError, Vdpa, render_dot
 from .benchgen import _MODES, GenConfig, GenerationError, GroundTruth, builtin
 from .papni import _BACKENDS, NoWellMatchedSamplesError, PapniConfig, papni_learn
 from .preprocess import DatasetError, is_well_matched
-from .rpni import rpni_learn
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -215,12 +213,9 @@ def cmd_benchmark(args) -> int:
         raise _CliError(EXIT_INPUT, "no grammar names given")
     if args.out is not None:
         _probe((args.out, "report"))
-    config = PapniConfig(backend=args.backend)
-    learners = {"rpni": lambda train, alphabet: rpni_learn(train),
-                "papni": lambda train, alphabet: papni_learn(train, alphabet, config)[0]}
     records = []
     for gt in truths:
-        runs: dict[str, list[tuple[float, int, float]]] = {name: [] for name in learners}
+        runs: dict[str, list[tuple[float, int, float]]] = {}
         # repeat r draws its data at seed + r, the schedule of acceptance criterion 3
         for seed in range(args.seed, args.seed + args.repeats):
             cfg = GenConfig(total=args.total, seed=seed, mode=args.mode)
@@ -228,11 +223,9 @@ def cmd_benchmark(args) -> int:
                 train, evl = benchgen.split_dataset(benchgen.generate_dataset(gt, cfg), seed=seed)
             except (GenerationError, ValueError) as exc:
                 raise _CliError(EXIT_GENERATION, f"{gt.name}: {exc}")
-            for name, learn in learners.items():
-                t0 = time.perf_counter()
-                model = learn(train, gt.alphabet)
-                elapsed = time.perf_counter() - t0
-                runs[name].append((benchgen.evaluate(model, evl).f1, model.size, elapsed))
+            for name, (model, f1, elapsed) in benchgen.run_cell(train, evl, gt.alphabet,
+                                                                 args.backend).items():
+                runs.setdefault(name, []).append((f1, model.size, elapsed))
         for name, results in runs.items():
             f1s, sizes, times = zip(*results)
             records.append(dict(grammar=gt.name, learner=name, mean_f1=fmean(f1s), std_f1=pstdev(f1s),

@@ -36,7 +36,6 @@ from vpalearn import (
     builtin,
     dfa_to_vdpa,
     edsm_learn,
-    evaluate,
     generate_dataset,
     is_well_matched,
     papni_learn,
@@ -46,6 +45,7 @@ from vpalearn import (
     split_dataset,
     to_stack_aware,
 )
+from vpalearn.benchgen import run_cell
 
 from conftest import WORKED_SAMPLES, as_dataset, from_stack_aware, random_well_matched
 
@@ -148,9 +148,9 @@ def test_criterion_3_benchmark_trend():
         for seed in TREND_SEEDS:
             cfg = GenConfig(total=10000, seed=seed, mode=mode)
             train, evl = split_dataset(generate_dataset(gt, cfg), seed=seed)
-            rpni_f1.append(evaluate(rpni_learn(train), evl).f1)
-            vdpa, _ = papni_learn(train, gt.alphabet)
-            papni_f1.append(evaluate(vdpa, evl).f1)
+            cell = run_cell(train, evl, gt.alphabet)  # the cell of `vpalearn benchmark`
+            rpni_f1.append(cell["rpni"][1])
+            papni_f1.append(cell["papni"][1])
         r, p = statistics.fmean(rpni_f1), statistics.fmean(papni_f1)
         summary.append(f"{grammar}: rpni={r:.3f} papni={p:.3f}")
         if not (p >= 0.95 and p > r):

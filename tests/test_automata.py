@@ -320,31 +320,35 @@ class TestVdpaAccepts:
         for model in models:
             assert not runner(model)(word).accepted
 
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_reason_matches_an_independent_walk(self, name, data):
-        # every Reason; a foreign symbol has no move, so a run that reaches
-        # it ends as UndefinedTransition
-        gt = builtin(name)
-        own = st.lists(st.sampled_from(sorted(gt.alphabet.symbols)), max_size=10).map(tuple)
-        train = data.draw(st.dictionaries(own, st.booleans(), min_size=1, max_size=12))
-        models = [gt.vdpa]
-        try:
-            models.append(papni_learn(as_dataset(sorted(train.items())), gt.alphabet)[0])
-        except NoWellMatchedSamplesError:
-            pass
-        words = st.lists(st.sampled_from(sorted(gt.alphabet.symbols) + ["foreign"]),
-                         max_size=10).map(tuple)
-        for word in data.draw(st.lists(words, min_size=1, max_size=8)):
-            for model in models:
-                expected = oracle_vdpa_reason(model, word)
-                verdict = runner(model)(word)
-                if expected is None:  # the run reaches a foreign symbol
-                    assert verdict is Reason.UNDEFINED_TRANSITION, word
-                    continue
-                assert verdict is Reason(expected), word
-                assert verdict.accepted is (expected == "Accepted")
+
+# at module level: on a method each parametrized case runs on a new
+# instance, which hypothesis fails as differing_executors unless its
+# pytest plugin is loaded
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_reason_matches_an_independent_walk(name, data):
+    # every Reason; a foreign symbol has no move, so a run that reaches
+    # it ends as UndefinedTransition
+    gt = builtin(name)
+    own = st.lists(st.sampled_from(sorted(gt.alphabet.symbols)), max_size=10).map(tuple)
+    train = data.draw(st.dictionaries(own, st.booleans(), min_size=1, max_size=12))
+    models = [gt.vdpa]
+    try:
+        models.append(papni_learn(as_dataset(sorted(train.items())), gt.alphabet)[0])
+    except NoWellMatchedSamplesError:
+        pass
+    words = st.lists(st.sampled_from(sorted(gt.alphabet.symbols) + ["foreign"]),
+                     max_size=10).map(tuple)
+    for word in data.draw(st.lists(words, min_size=1, max_size=8)):
+        for model in models:
+            expected = oracle_vdpa_reason(model, word)
+            verdict = runner(model)(word)
+            if expected is None:  # the run reaches a foreign symbol
+                assert verdict is Reason.UNDEFINED_TRANSITION, word
+                continue
+            assert verdict is Reason(expected), word
+            assert verdict.accepted is (expected == "Accepted")
 
 
 class TestBoundedEquivalence:

@@ -13,20 +13,25 @@ from vpalearn import (
     GroundTruth,
     LabeledDataset,
     LabeledSample,
+    PapniConfig,
     Vdpa,
     VpaAlphabet,
+    acceptor,
     benchgen,
     builtin,
+    edsm_learn,
     evaluate,
     generate_dataset,
+    papni_learn,
     preprocess_dataset,
     render_dot,
+    rpni_learn,
     runner,
     split_dataset,
 )
 
 from vpalearn.automata import edges
-from vpalearn.benchgen import _accepting_walk, _randbelow, _shuffle, _uniform_words
+from vpalearn.benchgen import _accepting_walk, _randbelow, _shuffle, _uniform_words, run_cell
 from vpalearn.formats import dump_automaton, dump_dataset, parse_dataset
 
 from conftest import as_dataset, oracle_well_matched
@@ -320,6 +325,26 @@ class TestEvaluate:
         ds = as_dataset([(("x",), False)])
         m = evaluate(parens_gt.vdpa, ds)
         assert m.tn == 1
+
+
+class TestRunCell:
+    def test_learns_raw_then_pipeline_and_scores_each(self):
+        # on this split EDSM and RPNI learn different DFAs, raw and in the pipeline
+        gt = builtin("arithmetic_expr")
+        train, evl = split_dataset(
+            generate_dataset(gt, GenConfig(total=400, seed=73, mode="balanced")), seed=73)
+        cell = run_cell(train, evl, gt.alphabet, "edsm")
+        assert list(cell) == ["rpni", "papni"]
+        for model, f1, _ in cell.values():
+            accepts = acceptor(model)
+            assert all(accepts(s.word) == s.label for s in train)
+            assert f1 == evaluate(model, evl).f1
+        # the backend reaches the pipeline, and the raw row stays plain RPNI
+        assert dump_automaton(cell["rpni"][0]) == dump_automaton(rpni_learn(train))
+        pipeline = papni_learn(train, gt.alphabet, PapniConfig("edsm"))[0]
+        assert dump_automaton(cell["papni"][0]) == dump_automaton(pipeline)
+        assert dump_automaton(pipeline) != dump_automaton(papni_learn(train, gt.alphabet)[0])
+        assert dump_automaton(cell["rpni"][0]) != dump_automaton(edsm_learn(train))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(-50, 50),

@@ -619,7 +619,7 @@ _LIBRARY_CALLS = {
     "generate": (["--grammar", "dyck1", "--out", "OUT"], benchgen, "generate_dataset"),
     "check": (["DATA", "ALPHA"], cli, "is_well_matched"),
     "benchmark": (["--grammars", "dyck1", "--repeats", "1", "--total", "20",
-                   "--mode", "balanced"], cli, "rpni_learn"),
+                   "--mode", "balanced"], benchgen, "rpni_learn"),
 }
 
 
