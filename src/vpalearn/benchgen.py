@@ -110,113 +110,59 @@ class EvalMetrics:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def _simple_vdpa(internal, call, ret, transitions, initial, accepting) -> Vdpa:
-    """The lift of a DFA over the stack-aware alphabet: transitions are
-    (src, sym, dst), a return written as its ``ret|call`` pair. The states
-    are the initial state and those the transitions name."""
-    alphabet = VpaAlphabet(internal, call, ret)
-    states = {initial, *(q for src, _, dst in transitions for q in (src, dst))}
-    dfa = Dfa(states, alphabet.stack_aware_symbols(),
-              {(src, sym): dst for src, sym, dst in transitions}, initial, accepting)
-    return dfa_to_vdpa(dfa, alphabet)
-
-
-def _balanced_parens() -> Vdpa:
-    # ("^n ")"^n for n >= 1; s2 is a sink that discards everything after
-    # the first pop is followed by a push
-    return _simple_vdpa(
-        internal=[], call=["("], ret=[")"],
-        transitions=[
-            ("s0", "(", "s0"),
-            ("s0", ")|(", "s1"),
-            ("s1", ")|(", "s1"),
-            ("s1", "(", "s2"),
-            ("s2", "(", "s2"),
-            ("s2", ")|(", "s2"),
-        ],
-        initial="s0", accepting=["s1"])
-
-
-def _arithmetic_expr() -> Vdpa:
-    return _simple_vdpa(
-        internal=["1", "+"], call=["("], ret=[")"],
-        transitions=[
-            ("s0", "(", "s0"),
-            ("s0", "1", "s1"),
-            ("s1", ")|(", "s1"),
-            ("s1", "+", "s0"),
-        ],
-        initial="s0", accepting=["s1"])
-
-
-def _anbn() -> Vdpa:
-    return _simple_vdpa(
-        internal=[], call=["a"], ret=["b"],
-        transitions=[
-            ("s0", "a", "s0"),
-            ("s0", "b|a", "s1"),
-            ("s1", "b|a", "s1"),
-        ],
-        initial="s0", accepting=["s1"])
-
-
-def _dyck1() -> Vdpa:
-    return _simple_vdpa(
-        internal=[], call=["("], ret=[")"],
-        transitions=[
-            ("s0", "(", "s0"),
-            ("s0", ")|(", "s0"),
-        ],
-        initial="s0", accepting=["s0"])
-
-
-def _dyck2() -> Vdpa:
-    return _simple_vdpa(
-        internal=[], call=["(", "["], ret=[")", "]"],
-        transitions=[
-            ("s0", "(", "s0"),
-            ("s0", "[", "s0"),
-            ("s0", ")|(", "s0"),
-            ("s0", "]|[", "s0"),
-        ],
-        initial="s0", accepting=["s0"])
-
-
-def _dyck1_parity(accept_odd: bool) -> Vdpa:
-    # two states track the parity of the number of opening brackets
-    return _simple_vdpa(
-        internal=[], call=["("], ret=[")"],
-        transitions=[
-            ("even", "(", "odd"),
-            ("odd", "(", "even"),
-            ("even", ")|(", "even"),
-            ("odd", ")|(", "odd"),
-        ],
-        initial="even", accepting=["odd" if accept_odd else "even"])
-
-
-def _nested_xml_tags() -> Vdpa:
-    return _simple_vdpa(
-        internal=["text"], call=["<a>", "<b>"], ret=["</a>", "</b>"],
-        transitions=[
-            ("s0", "text", "s0"),
-            ("s0", "<a>", "s0"),
-            ("s0", "<b>", "s0"),
-            ("s0", "</a>|<a>", "s0"),
-            ("s0", "</b>|<b>", "s0"),
-        ],
-        initial="s0", accepting=["s0"])
-
+# Each built-in is a DFA over the stack-aware alphabet, which builtin() lifts
+# with dfa_to_vdpa: (internal, call, return, initial, accepting, transitions),
+# a transition (src, sym, dst) with a return written as its ``ret|call`` pair.
+# The states are the initial state and those the transitions name.
+_DYCK1_PARITY = [
+    ("even", "(", "odd"),
+    ("odd", "(", "even"),
+    ("even", ")|(", "even"),
+    ("odd", ")|(", "odd"),
+]
 
 _BUILTINS = {
-    "balanced_parens": _balanced_parens,
-    "arithmetic_expr": _arithmetic_expr,
-    "anbn": _anbn,
-    "dyck1": _dyck1,
-    "dyck2": _dyck2,
-    "dyck1_even": lambda: _dyck1_parity(accept_odd=False),
-    "dyck1_odd": lambda: _dyck1_parity(accept_odd=True),
-    "nested_xml_tags": _nested_xml_tags,
+    # ("^n ")"^n for n >= 1; s2 is a sink that discards everything after
+    # the first pop is followed by a push
+    "balanced_parens": ([], ["("], [")"], "s0", ["s1"], [
+        ("s0", "(", "s0"),
+        ("s0", ")|(", "s1"),
+        ("s1", ")|(", "s1"),
+        ("s1", "(", "s2"),
+        ("s2", "(", "s2"),
+        ("s2", ")|(", "s2"),
+    ]),
+    "arithmetic_expr": (["1", "+"], ["("], [")"], "s0", ["s1"], [
+        ("s0", "(", "s0"),
+        ("s0", "1", "s1"),
+        ("s1", ")|(", "s1"),
+        ("s1", "+", "s0"),
+    ]),
+    "anbn": ([], ["a"], ["b"], "s0", ["s1"], [
+        ("s0", "a", "s0"),
+        ("s0", "b|a", "s1"),
+        ("s1", "b|a", "s1"),
+    ]),
+    "dyck1": ([], ["("], [")"], "s0", ["s0"], [
+        ("s0", "(", "s0"),
+        ("s0", ")|(", "s0"),
+    ]),
+    "dyck2": ([], ["(", "["], [")", "]"], "s0", ["s0"], [
+        ("s0", "(", "s0"),
+        ("s0", "[", "s0"),
+        ("s0", ")|(", "s0"),
+        ("s0", "]|[", "s0"),
+    ]),
+    # two states track the parity of the number of opening brackets
+    "dyck1_even": ([], ["("], [")"], "even", ["even"], _DYCK1_PARITY),
+    "dyck1_odd": ([], ["("], [")"], "even", ["odd"], _DYCK1_PARITY),
+    "nested_xml_tags": (["text"], ["<a>", "<b>"], ["</a>", "</b>"], "s0", ["s0"], [
+        ("s0", "text", "s0"),
+        ("s0", "<a>", "s0"),
+        ("s0", "<b>", "s0"),
+        ("s0", "</a>|<a>", "s0"),
+        ("s0", "</b>|<b>", "s0"),
+    ]),
 }
 
 BUILTIN_NAMES = tuple(sorted(_BUILTINS))
@@ -224,11 +170,14 @@ BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 def builtin(name: str) -> GroundTruth:
     try:
-        factory = _BUILTINS[name]
+        internal, call, ret, initial, accepting, transitions = _BUILTINS[name]
     except KeyError:
         raise KeyError(f"unknown grammar {name!r}; available: {', '.join(BUILTIN_NAMES)}") from None
-    vdpa = factory()
-    return GroundTruth(name, vdpa)
+    alphabet = VpaAlphabet(internal, call, ret)
+    states = {initial, *(q for src, _, dst in transitions for q in (src, dst))}
+    dfa = Dfa(states, alphabet.stack_aware_symbols(),
+              {(src, sym): dst for src, sym, dst in transitions}, initial, accepting)
+    return GroundTruth(name, dfa_to_vdpa(dfa, alphabet))
 
 
 def _randbelow(getrandbits, n: int) -> int:

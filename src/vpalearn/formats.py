@@ -170,7 +170,7 @@ def dump_dataset(dataset: LabeledDataset) -> str:
     lines = []
     for sample in dataset:
         mark = "+" if sample.label else "-"
-        lines.append(" ".join((mark,) + sample.word).rstrip())
+        lines.append(" ".join((mark,) + sample.word))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

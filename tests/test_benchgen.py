@@ -32,7 +32,7 @@ from vpalearn import (
 
 from vpalearn.automata import edges
 from vpalearn.benchgen import _accepting_walk, _randbelow, _shuffle, _uniform_words, run_cell
-from vpalearn.formats import dump_automaton, dump_dataset, parse_dataset
+from vpalearn.formats import dump_automaton, dump_dataset, parse_automaton, parse_dataset
 
 from conftest import as_dataset, oracle_well_matched
 
@@ -74,9 +74,7 @@ class TestBuiltins:
         # raised from None: a traceback shows no "During handling" lookup error
         assert excinfo.value.__suppress_context__ and excinfo.value.__cause__ is None
 
-    @pytest.mark.parametrize("name", [
-        "anbn", "arithmetic_expr", "balanced_parens", "dyck1",
-        "dyck1_even", "dyck1_odd", "dyck2", "nested_xml_tags"])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_accepted_words_are_well_matched(self, name):
         gt = builtin(name)
         rng = random.Random(19)
@@ -95,6 +93,32 @@ class TestBuiltins:
     def test_dot_is_pinned(self, name):
         text = render_dot(builtin(name).vdpa)
         assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_DOT_SHA256[name]
+
+    def test_builtin_shares_nothing_with_the_table(self):
+        # dyck1_even and dyck1_odd read one transition list in the table
+        vdpa = builtin("dyck1_even").vdpa
+        for table in (vdpa.internal_trans, vdpa.call_trans, vdpa.return_trans):
+            table.update(dict.fromkeys(table, "odd"))
+        for name in ("dyck1_even", "dyck1_odd"):
+            text = dump_automaton(builtin(name).vdpa)
+            assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_SHA256[name]
+
+    @pytest.mark.parametrize("mode", ["uniform", "balanced"])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_truth_loaded_from_its_dump_draws_the_same_data(self, name, mode):
+        # a table entry and its .aut file declare one truth: at identify_small's
+        # cell both draw the same samples or raise the same GenerationError
+        gt = builtin(name)
+        loaded = GroundTruth(name, parse_automaton(dump_automaton(gt.vdpa)))
+        for seed in range(1, 6):
+            cfg = GenConfig(total=8, len_min=2, len_max=12, seed=seed, mode=mode)
+            outcomes = []
+            for truth in (gt, loaded):
+                try:
+                    outcomes.append(list(generate_dataset(truth, cfg)))
+                except GenerationError as exc:
+                    outcomes.append(f"GenerationError: {exc}")
+            assert outcomes[0] == outcomes[1]
 
     def test_ground_truth_needs_symbols(self):
         # uniform sampling draws from the alphabet, so it must not be empty
