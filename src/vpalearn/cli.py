@@ -37,16 +37,15 @@ EXIT_GENERATION = 5
 
 DEFAULT_SEED = 1
 
-# the exit code of a library error that reaches main; a subclass exits as its base
+
+class _InputError(Exception):
+    """An input or output file, grammar name or flag value the CLI cannot use."""
+
+
+# the exit code of every error that reaches main; a subclass exits as its base
 _EXIT_CODES = {DatasetError: EXIT_CONFLICT, NoWellMatchedSamplesError: EXIT_NO_SAMPLES,
                GenerationError: EXIT_GENERATION, formats.FormatError: EXIT_INPUT,
-               AlphabetError: EXIT_INPUT}
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
+               AlphabetError: EXIT_INPUT, _InputError: EXIT_INPUT}
 
 
 def _manifest(entries: list[tuple[str, object]], out_path: Optional[Path]) -> None:
@@ -61,9 +60,9 @@ def _load(parse, path: str, what: str):
     try:
         return parse(Path(path).read_text())
     except OSError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot read {what} {path!r}: {exc.strerror}")
+        raise _InputError(f"cannot read {what} {path!r}: {exc.strerror}")
     except UnicodeDecodeError:
-        raise _CliError(EXIT_INPUT, f"{what} {path!r} is not UTF-8 text")
+        raise _InputError(f"{what} {path!r} is not UTF-8 text")
 
 
 def _write(path: str | Path, text: str, what: str, mode: str = "w") -> None:
@@ -72,7 +71,7 @@ def _write(path: str | Path, text: str, what: str, mode: str = "w") -> None:
         with open(path, mode) as out:
             out.write(text)
     except OSError as exc:
-        raise _CliError(EXIT_INPUT, f"cannot write {what} {str(path)!r}: {exc.strerror}")
+        raise _InputError(f"cannot write {what} {str(path)!r}: {exc.strerror}")
 
 
 def _probe(*outputs: tuple[str | Path, str]) -> None:
@@ -89,7 +88,7 @@ def _probe(*outputs: tuple[str | Path, str]) -> None:
 def _load_dataset(path: str):
     dataset = _load(formats.parse_dataset, path, "dataset")
     if not dataset.samples:
-        raise _CliError(EXIT_INPUT, f"dataset {path!r} is empty")
+        raise _InputError(f"dataset {path!r} is empty")
     return dataset
 
 
@@ -97,7 +96,7 @@ def _builtin(name: str) -> GroundTruth:
     try:
         return builtin(name)
     except KeyError as exc:  # str() of a KeyError quotes its message
-        raise _CliError(EXIT_INPUT, exc.args[0])
+        raise _InputError(exc.args[0])
 
 
 def _ground_truth(args) -> GroundTruth:
@@ -105,17 +104,17 @@ def _ground_truth(args) -> GroundTruth:
         return _builtin(args.grammar)
     model = _load(formats.parse_automaton, args.automaton, "automaton")
     if not isinstance(model, Vdpa):
-        raise _CliError(EXIT_INPUT, "ground-truth automaton must be a vdpa")
+        raise _InputError("ground-truth automaton must be a vdpa")
     return GroundTruth(Path(args.automaton).stem, model)
 
 
-def cmd_learn(args) -> int:
+def cmd_learn(args):
     dataset = _load_dataset(args.dataset)
     alphabet = _load(formats.parse_alphabet, args.alphabet, "alphabet")
     symbols = alphabet.symbols
     foreign = next((sym for s in dataset for sym in s.word if sym not in symbols), None)
     if foreign is not None:  # the first in file order
-        raise _CliError(EXIT_INPUT, f"dataset symbol {foreign!r} not in alphabet")
+        raise _InputError(f"dataset symbol {foreign!r} not in alphabet")
     out = Path(args.out)
     _probe((out, "model"))  # first: a path with no file name is refused as a directory
     dot, manifest = (out.with_suffix(out.suffix + ext) for ext in (".dot", ".manifest"))
@@ -137,18 +136,17 @@ def cmd_learn(args) -> int:
         entries += [("kept", report.kept), ("dropped_positive", report.dropped_positive),
                     ("dropped_negative", report.dropped_negative)]
     _manifest(entries, manifest)
-    return EXIT_OK
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args):
     try:
         cfg = GenConfig(total=args.total, len_min=args.len_min, len_max=args.len_max,
                         seed=args.seed, mode=args.mode)
     except ValueError as exc:
-        raise _CliError(EXIT_INPUT, str(exc))
+        raise _InputError(str(exc))
     out = Path(args.out)
     if not out.name:  # the split halves and the manifest are named after it
-        raise _CliError(EXIT_INPUT, f"cannot write dataset {args.out!r}: not a file name")
+        raise _InputError(f"cannot write dataset {args.out!r}: not a file name")
     gt = _ground_truth(args)
     outputs = ([out.with_suffix(out.suffix + half) for half in (".train", ".eval")]
                if args.split else [out])
@@ -160,7 +158,7 @@ def cmd_generate(args) -> int:
         try:
             halves = benchgen.split_dataset(dataset, seed=args.seed)
         except ValueError as exc:
-            raise _CliError(EXIT_GENERATION, f"cannot split: {exc}")
+            raise GenerationError(f"cannot split: {exc}") from None
     for path, part in zip(outputs, halves):
         _write(path, formats.dump_dataset(part), "dataset")
     positives = len(dataset.positives())
@@ -171,10 +169,9 @@ def cmd_generate(args) -> int:
          ("negatives", len(dataset) - positives),
          ("outputs", " ".join(str(p) for p in outputs))],
         manifest)
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     model = _load(formats.parse_automaton, args.model, "model")
     dataset = _load_dataset(args.dataset)
     metrics = benchgen.evaluate(model, dataset)
@@ -187,10 +184,9 @@ def cmd_eval(args) -> int:
     if metrics.undefined:
         entries.append(("undefined", " ".join(metrics.undefined)))
     _manifest(entries, None)
-    return EXIT_OK
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     dataset = _load(formats.parse_dataset, args.dataset, "dataset")
     alphabet = _load(formats.parse_alphabet, args.alphabet, "alphabet")
     matched = 0
@@ -203,14 +199,13 @@ def cmd_check(args) -> int:
     _manifest([("command", "check"), ("dataset", args.dataset),
                ("alphabet", args.alphabet), ("well_matched", matched),
                ("not_well_matched", len(dataset) - matched)], None)
-    return EXIT_OK
 
 
-def cmd_benchmark(args) -> int:
+def cmd_benchmark(args):
     # every name is resolved before the first dataset is generated
     truths = [_builtin(g) for part in args.grammars for g in part.split(",") if g]
     if not truths:
-        raise _CliError(EXIT_INPUT, "no grammar names given")
+        raise _InputError("no grammar names given")
     if args.out is not None:
         _probe((args.out, "report"))
     records = []
@@ -222,7 +217,7 @@ def cmd_benchmark(args) -> int:
             try:
                 train, evl = benchgen.split_dataset(benchgen.generate_dataset(gt, cfg), seed=seed)
             except (GenerationError, ValueError) as exc:
-                raise _CliError(EXIT_GENERATION, f"{gt.name}: {exc}")
+                raise GenerationError(f"{gt.name}: {exc}") from None
             for name, (model, f1, elapsed) in benchgen.run_cell(train, evl, gt.alphabet,
                                                                  args.backend).items():
                 runs.setdefault(name, []).append((f1, model.size, elapsed))
@@ -245,12 +240,11 @@ def cmd_benchmark(args) -> int:
                ("repeats", args.repeats), ("seed", args.seed),
                ("total", args.total), ("mode", args.mode), ("backend", args.backend),
                ("out", args.out or "-")], None)
-    return EXIT_OK
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args):
     if args.to != "dot":
-        raise _CliError(EXIT_INPUT, f"unknown target format {args.to!r}")
+        raise _InputError(f"unknown target format {args.to!r}")
     model = _load(formats.parse_automaton, args.model, "model")
     dot = render_dot(model)
     if args.out is not None:
@@ -259,7 +253,6 @@ def cmd_convert(args) -> int:
         sys.stdout.write(dot)
     _manifest([("command", "convert"), ("model", args.model), ("to", args.to),
                ("out", args.out or "-")], None)
-    return EXIT_OK
 
 
 def _at_least(low: int):
@@ -291,9 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--grammar", metavar="NAME")
     src.add_argument("--automaton", metavar="PATH")
-    p.add_argument("--total", type=_at_least(2), default=10000)
-    p.add_argument("--len-min", type=_at_least(1), default=4)
-    p.add_argument("--len-max", type=_at_least(1), default=50)
+    p.add_argument("--total", type=_at_least(2), default=GenConfig.total)
+    p.add_argument("--len-min", type=_at_least(1), default=GenConfig.len_min)
+    p.add_argument("--len-max", type=_at_least(1), default=GenConfig.len_max)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--mode", choices=_MODES, default="uniform")
     p.add_argument("--split", action="store_true")
@@ -314,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grammars", nargs="+", required=True)
     p.add_argument("--repeats", type=_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--total", type=_at_least(2), default=10000)
+    p.add_argument("--total", type=_at_least(2), default=GenConfig.total)
     p.add_argument("--mode", choices=_MODES, default="uniform")
     p.add_argument("--backend", choices=tuple(_BACKENDS), default="rpni")
     p.add_argument("--out")
@@ -333,19 +326,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()
-        return code
-    except (_CliError, *_EXIT_CODES) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, _CliError):
-            return exc.code
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
     except BrokenPipeError:
         # the reader went away; the exit-time flush then finds nowhere to write
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: cannot write standard output: broken pipe", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -56,6 +56,10 @@ class TestVpaAlphabet:
         with pytest.raises(AlphabetError):
             VpaAlphabet(frozenset({"a#"}), frozenset(), frozenset())
 
+    def test_symbols_reject_pair_separator(self):
+        with pytest.raises(AlphabetError, match=re.escape("symbol 'a|b' may not contain '|'")):
+            VpaAlphabet({"a|b"})
+
     def test_stack_aware_size_bound(self, arith_alphabet):
         a = arith_alphabet
         bound = len(a.internal) + len(a.call) + len(a.ret) * len(a.call)

@@ -173,6 +173,8 @@ class TestGenConfig:
             GenConfig(len_min=5, len_max=4)
         with pytest.raises(ValueError):
             GenConfig(total=1)
+        with pytest.raises(ValueError):
+            GenConfig(mode="zigzag")
 
 
 class TestGenerateDataset:

@@ -318,6 +318,15 @@ class TestGenerate:
         code = main(["generate", "--automaton", str(tmp_path), "--out", str(tmp_path / "d.txt")])
         assert code == EXIT_INPUT
 
+    def test_dfa_automaton_is_refused(self, tmp_path, capsys):
+        model = tmp_path / "dyck1.aut"
+        model.write_text("dfa\ninitial: s0\naccepting: s0\ns0 ( -> s0\n")
+        code = main(["generate", "--automaton", str(model), "--total", "6",
+                     "--out", str(tmp_path / "d.txt")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: ground-truth automaton must be a vdpa\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["dyck1.aut"]
+
     def test_ground_truth_without_rejected_words(self, tmp_path, capsys):
         # it accepts every word over {a}, so balanced mode finds no negative
         model = tmp_path / "all.aut"

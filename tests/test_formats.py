@@ -76,6 +76,11 @@ class TestAutomatonFormat:
         "dfa\ninitial: s0\naccepting:\ns0 a -> s1\ns0 a -> s2\n",
         "dfa\ninitial: s0\naccepting:\ns0 a push -> s1\n",
         "dfa\n# alphabet: a # b\ninitial: s0\naccepting:\n",
+        "vdpa\ninitial: s0\n",
+        "vdpa\ninitial: s0\ns0 a -> s0\n",
+        "vdpa\ninitial: s0\naccepting: s0\ns0 a b c d -> s0\n",
+        # "(" is both a call and an internal symbol: the AlphabetError comes out as a FormatError
+        "vdpa\ninitial: s0\naccepting: s0\ns0 ( push -> s0\ns0 ( -> s0\n",
     ])
     def test_malformed_inputs(self, text):
         with pytest.raises(FormatError):
