@@ -332,31 +332,16 @@ def evaluate(model: Automaton, dataset: LabeledDataset) -> EvalMetrics:
     if not dataset.samples:
         raise ValueError("evaluation dataset is empty")
     run, accepted = runner(model), Reason.ACCEPTED
-    tp = fp = fn = tn = 0
+    tally = [0, 0, 0, 0]  # tn, fn, fp, tp: slot 2 * predicted + label
     for sample in dataset:
-        predicted = run(sample.word) is accepted
-        if predicted and sample.label:
-            tp += 1
-        elif predicted and not sample.label:
-            fp += 1
-        elif not predicted and sample.label:
-            fn += 1
-        else:
-            tn += 1
-    undefined = []
-    if tp + fp:
-        precision = tp / (tp + fp)
-    else:
-        precision, undefined = 0.0, undefined + ["precision"]
-    if tp + fn:
-        recall = tp / (tp + fn)
-    else:
-        recall, undefined = 0.0, undefined + ["recall"]
-    if precision + recall:
-        f1 = 2 * precision * recall / (precision + recall)
-    else:
-        f1, undefined = 0.0, undefined + ["f1"]
-    return EvalMetrics(tp, fp, fn, tn, precision, recall, f1, tuple(undefined))
+        tally[2 * (run(sample.word) is accepted) + sample.label] += 1
+    tn, fn, fp, tp = tally
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    denominators = ("precision", tp + fp), ("recall", tp + fn), ("f1", precision + recall)
+    undefined = tuple(name for name, denominator in denominators if not denominator)
+    return EvalMetrics(tp, fp, fn, tn, precision, recall, f1, undefined)
 
 
 def run_cell(train: LabeledDataset, evl: LabeledDataset, alphabet: VpaAlphabet,

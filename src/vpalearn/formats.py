@@ -10,8 +10,8 @@ Automaton format (round-trippable):
     s1 + -> s0                # internal / plain transition
 
 ``#`` starts a comment; tokens are whitespace-separated. The alphabet
-partition of a pushdown model is recorded in comment headers so symbols
-without transitions survive a round trip.
+partition of a pushdown model is recorded in comment headers above
+``initial:`` so symbols without transitions survive a round trip.
 
 Dataset format: one sample per line, ``+``/``-`` then the word's tokens.
 Alphabet format: three lines ``internal:``, ``call:``, ``return:``.
@@ -19,8 +19,6 @@ Only text goes in and out here; callers read and write the files.
 """
 
 from __future__ import annotations
-
-import io
 
 from .automata import (
     AlphabetError,
@@ -60,18 +58,12 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 def dump_automaton(model: Automaton) -> str:
     """Raises FormatError for a DFA symbol that would not parse back as itself."""
     names = canonical_names(model)
-    out = io.StringIO()
     if isinstance(model, Dfa):
         _check_symbols(model.alphabet)
-        out.write("dfa\n")
-        out.write("# alphabet: " + " ".join(sorted(model.alphabet)) + "\n")
+        head = "dfa\n# alphabet: " + " ".join(sorted(model.alphabet)) + "\n"
     else:
-        out.write("vdpa\n")
-        out.write("# internal: " + " ".join(sorted(model.alphabet.internal)) + "\n")
-        out.write("# call: " + " ".join(sorted(model.alphabet.call)) + "\n")
-        out.write("# return: " + " ".join(sorted(model.alphabet.ret)) + "\n")
-    out.write(f"initial: {names[model.initial]}\n")
-    out.write("accepting: " + " ".join(n for s, n in names.items() if s in model.accepting) + "\n")
+        header = dump_alphabet(model.alphabet).splitlines(True)
+        head = "vdpa\n" + "".join("# " + line for line in header)
     rows: list[str] = []
     for kind, src, sym, top, dst in edges(model):
         if kind == "call":
@@ -79,13 +71,14 @@ def dump_automaton(model: Automaton) -> str:
         elif kind == "return":
             sym += f" pop {top}"
         rows.append(f"{names[src]} {sym} -> {names[dst]}")
-    out.write("\n".join(sorted(rows)) + ("\n" if rows else ""))
-    return out.getvalue()
+    return (head + f"initial: {names[model.initial]}\n"
+            + "accepting: " + " ".join(n for s, n in names.items() if s in model.accepting) + "\n"
+            + "\n".join(sorted(rows)) + ("\n" if rows else ""))
 
 
-def _comment_alphabet(text: str) -> dict[str, list[str]]:
+def _comment_alphabet(lines: list[str]) -> dict[str, list[str]]:
     found = {}
-    for raw in text.splitlines():
+    for raw in lines:
         stripped = raw.strip()
         if not stripped.startswith("#"):
             continue
@@ -117,7 +110,8 @@ def parse_automaton(text: str) -> Automaton:
     initial = initial_toks[0]
     accepting = set(acc_line.partition(":")[2].split())
     states = {initial} | accepting
-    comments = _comment_alphabet(text)
+    # alphabet comments count only above `initial:`, where dump_automaton writes them
+    comments = _comment_alphabet(text.splitlines()[:lines[1][0] - 1])
 
     plain: dict[tuple[str, str], str] = {}
     push: dict[tuple[str, str], str] = {}

@@ -343,6 +343,20 @@ class TestEvaluate:
         assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
         assert set(m.undefined) == {"precision", "recall", "f1"}
 
+    @pytest.mark.parametrize("pairs, counts, ratios, undefined", [
+        ([("()", True)], (1, 0, 0, 0), (1.0, 1.0, 1.0), ()),
+        ([("()", False)], (0, 1, 0, 0), (0.0, 0.0, 0.0), ("recall", "f1")),
+        ([("(", True)], (0, 0, 1, 0), (0.0, 0.0, 0.0), ("precision", "f1")),
+        ([("(", False), ("))", False)], (0, 0, 0, 2), (0.0, 0.0, 0.0),
+         ("precision", "recall", "f1")),
+    ], ids=["tp", "fp", "fn", "tn"])
+    def test_undefined_names_in_order(self, parens_gt, pairs, counts, ratios, undefined):
+        # `vpalearn eval` prints the tuple joined, so its order is output
+        m = evaluate(parens_gt.vdpa, as_dataset(pairs))
+        assert (m.tp, m.fp, m.fn, m.tn) == counts
+        assert (m.precision, m.recall, m.f1) == ratios
+        assert m.undefined == undefined
+
     def test_empty_dataset(self, parens_gt):
         with pytest.raises(ValueError):
             evaluate(parens_gt.vdpa, LabeledDataset([]))

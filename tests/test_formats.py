@@ -10,6 +10,7 @@ from vpalearn import (
     VpaAlphabet,
     acceptor,
     bounded_equivalence,
+    builtin,
     papni_learn,
     rpni_learn,
 )
@@ -85,6 +86,16 @@ class TestAutomatonFormat:
     def test_malformed_inputs(self, text):
         with pytest.raises(FormatError):
             parse_automaton(text)
+
+    @pytest.mark.parametrize("kind, comment", [
+        ("vdpa", "# call: ( opens a group, after Alur and Madhusudan\n"),
+        ("dfa", "# alphabet: see the paper\n"),
+    ], ids=["vdpa", "dfa"])
+    def test_alphabet_comments_count_only_above_initial(self, kind, comment,
+                                                        stack_aware_parens_dfa):
+        # below `initial:` a comment is prose, even when it starts like a header
+        text = dump_automaton(builtin("dyck1").vdpa if kind == "vdpa" else stack_aware_parens_dfa)
+        assert parse_automaton(text + comment) == parse_automaton(text)
 
     def test_save_and_load(self, tmp_path, parens_gt):
         path = tmp_path / "model.aut"
